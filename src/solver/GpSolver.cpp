@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
 #include <string>
 
 using namespace thistle;
@@ -258,9 +259,19 @@ private:
   bool PhaseOne;
 };
 
+/// How one centering step ended. Only Centered leaves W on the central
+/// path, so only Centered may back the phase-I dual bound.
+enum class CenterExit {
+  Centered,  ///< The Newton decrement fell below its tolerance.
+  EarlyExit, ///< The caller's EarlyExit predicate held.
+  Stalled,   ///< The line search found no sufficient decrease.
+  IterCap,   ///< MaxIters Newton steps ran out.
+  Breakdown, ///< Non-finite derivatives or no factorable Hessian.
+};
+
 /// Damped-Newton minimization of the barrier objective at fixed T.
-/// Returns false on numerical breakdown. \p EarlyExit, when non-null,
-/// stops as soon as it returns true (used by phase one once s < 0).
+/// Returns which exit it took. \p EarlyExit, when non-null, stops as
+/// soon as it returns true (used by phase one once s < 0).
 ///
 /// The regularization ladder (12 rungs lambda = 1e-10 * 100^r) runs four
 /// rungs per lane-batched Cholesky call: the Hessian is broadcast into
@@ -269,18 +280,18 @@ private:
 /// sequential ladder would have picked, at a quarter of the kernel
 /// invocations (and with the typical all-rungs-fail-until-late Hessian
 /// resolved in one or two calls instead of up to twelve).
-bool centerNewton(const CenteringProblem &Prob, double T, Vector &W,
-                  unsigned MaxIters, unsigned &IterCounter,
-                  bool (*EarlyExit)(const Vector &), SolverScratch &S) {
+CenterExit centerNewton(const CenteringProblem &Prob, double T, Vector &W,
+                        unsigned MaxIters, unsigned &IterCounter,
+                        bool (*EarlyExit)(const Vector &), SolverScratch &S) {
   for (unsigned Iter = 0; Iter < MaxIters; ++Iter) {
     if (EarlyExit && EarlyExit(W))
-      return true;
+      return CenterExit::EarlyExit;
     Prob.barrierDerivatives(T, W, S.Grad, S.Hess, S);
     ++IterCounter;
     if (fault::shouldFail("solver.nan-grad"))
       S.Grad[0] = std::numeric_limits<double>::quiet_NaN();
     if (!allFinite(S.Grad))
-      return false;
+      return CenterExit::Breakdown;
 
     const std::size_t N = W.size();
     S.NegGrad.resize(N);
@@ -324,16 +335,16 @@ bool centerNewton(const CenteringProblem &Prob, double T, Vector &W,
       BatchLambda *= 1e8; // 100^4: the next four rungs.
     }
     if (!Solved)
-      return false;
+      return CenterExit::Breakdown;
 
     // Newton decrement as a stopping test.
     double Decrement = -kernels::dot(S.Grad.data(), S.Step.data(), N);
     if (!std::isfinite(Decrement))
-      return false;
+      return CenterExit::Breakdown;
     if (Decrement < 0.0)
       Decrement = 0.0;
     if (Decrement * 0.5 < 1e-10)
-      return true;
+      return CenterExit::Centered;
 
     // Backtracking line search with domain (feasibility) check.
     double Base = Prob.barrierValue(T, W, S);
@@ -351,9 +362,9 @@ bool centerNewton(const CenteringProblem &Prob, double T, Vector &W,
       Alpha *= 0.5;
     }
     if (!Accepted)
-      return true; // No further progress at this T.
+      return CenterExit::Stalled; // No further progress at this T.
   }
-  return true;
+  return CenterExit::IterCap;
 }
 
 /// The uninstrumented solve (the body of the public solveGp); the
@@ -464,17 +475,37 @@ GpSolution solveGpImpl(const GpProblem &Problem,
     W.push_back(MaxG + 1.0); // Strictly feasible for G_i - s < 0.
 
     auto FoundInterior = [](const Vector &W) { return W.back() < -1e-7; };
+    const double M = static_cast<double>(Ctx.Constraints.size());
     double T = Options.TInitial;
     for (unsigned Outer = 0; Outer < Options.MaxOuterIters; ++Outer) {
-      if (!centerNewton(PhaseOne, T, W, Options.MaxNewtonIters,
-                        Solution.NewtonIterations, +FoundInterior,
-                        Scratch)) {
+      CenterExit Exit = centerNewton(PhaseOne, T, W, Options.MaxNewtonIters,
+                                     Solution.NewtonIterations,
+                                     +FoundInterior, Scratch);
+      if (Exit == CenterExit::Breakdown) {
         Solution.Failure = "numerical breakdown in phase I";
         Solution.Outcome = SolveOutcome::NumericalBreakdown;
         return Solution;
       }
       if (FoundInterior(W))
         break;
+      // Infeasibility certificate (Boyd & Vandenberghe 11.4): at the
+      // central point of t*s - sum log(s - G_i), lambda_i = 1/(t(s - G_i))
+      // is dual feasible with gap m/t, so the phase-I optimum is at
+      // least s - m/t. A positive bound proves that no z has every
+      // G_i(z) < 0, so phase I could never succeed; stop instead of
+      // exhausting its budget. Only a centered step supports the bound.
+      const double Bound = W.back() - M / T;
+      if (Exit == CenterExit::Centered && Bound > 0.0) {
+        telemetry::count("solver.phase1.certified");
+        char Text[128];
+        std::snprintf(Text, sizeof Text,
+                      "certified infeasible (phase I): s - m/t = %.6g > 0 "
+                      "(m=%zu, t=%.6g)",
+                      Bound, Ctx.Constraints.size(), T);
+        Solution.Failure = Text;
+        Solution.Outcome = SolveOutcome::Infeasible;
+        return Solution;
+      }
       T *= Options.TMultiplier;
     }
     if (!FoundInterior(W)) {
@@ -496,8 +527,9 @@ GpSolution solveGpImpl(const GpProblem &Problem,
       std::max<std::size_t>(Ctx.Constraints.size(), 1);
   for (unsigned Outer = 0; Outer < Options.MaxOuterIters; ++Outer) {
     ++OuterIters;
-    if (!centerNewton(PhaseTwo, T, ZVec, Options.MaxNewtonIters,
-                      Solution.NewtonIterations, nullptr, Scratch)) {
+    if (centerNewton(PhaseTwo, T, ZVec, Options.MaxNewtonIters,
+                     Solution.NewtonIterations, nullptr,
+                     Scratch) == CenterExit::Breakdown) {
       Solution.Failure = "numerical breakdown in phase II";
       Solution.Outcome = SolveOutcome::NumericalBreakdown;
       Solution.Values = recoverX(ZVec);

@@ -667,6 +667,7 @@ void ServeEngine::runJob(SolveJob &Job) {
     }
   }
 
+  RR.ExitCode = Exit;
   if (Exit != 2)
     Job.CanonicalReport = RR.toCanonicalJson();
   Job.ExitCode = Exit;

@@ -486,3 +486,37 @@ TEST(Network, InvalidLayerIsRejectedBeforeAnySolve) {
       << R.InputStatus.toString();
   EXPECT_EQ(R.Stats.PairsSolved, 0u);
 }
+
+TEST(Network, CodesignSliceKeepsItsAnswerWithCertifiedInfeasibility) {
+  // ResNet-18 stages 5 and 12 in CoDesign mode at the Eyeriss area:
+  // phase 2 finds one candidate architecture infeasible for a stage.
+  // The pins are the answer of the solver that exhausted phase I on
+  // every such GP; the certificate must leave all of it unchanged and
+  // back every infeasible verdict.
+  const std::vector<ConvLayer> Stages = resnet18Layers();
+  NetworkOptions NO;
+  NO.Layer.Mode = DesignMode::CoDesign;
+  NO.Layer.Threads = 1;
+  TechParams Tech = TechParams::cgo45nm();
+  NetworkResult R = optimizeNetwork({Stages[4], Stages[11]}, eyerissArch(),
+                                    Tech, NO, eyerissAreaUm2(Tech));
+  ASSERT_TRUE(R.InputStatus.isOk());
+  ASSERT_TRUE(R.Found);
+  EXPECT_EQ(R.Report.Solved, 170u);
+  EXPECT_EQ(R.Report.Retried, 102u);
+  EXPECT_EQ(R.Report.Infeasible, 34u);
+  EXPECT_EQ(R.Report.Failed, 0u);
+  EXPECT_EQ(R.Arch.NumPEs, 1515);
+  EXPECT_EQ(R.Arch.RegWordsPerPE, 8);
+  EXPECT_EQ(R.Arch.SramWords, 16384);
+  EXPECT_EQ(R.Totals.EnergyPj, 0x1.4f710322e8e33p+29);
+  EXPECT_EQ(R.Totals.Cycles, 0x1.5fbp+17);
+  unsigned Certified = 0;
+  for (const SweepIncident &I : R.Report.Incidents)
+    if (I.Outcome == TaskOutcome::Infeasible) {
+      EXPECT_NE(I.Detail.find("certified infeasible"), std::string::npos)
+          << I.Detail;
+      ++Certified;
+    }
+  EXPECT_EQ(Certified, R.Report.Infeasible);
+}

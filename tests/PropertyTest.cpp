@@ -19,7 +19,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 using namespace thistle;
 
@@ -157,6 +161,112 @@ TEST(SolverProperties, MatchesGridSearchOnRandom2DPrograms) {
       }
     EXPECT_LE(S.Objective, GridBest * (1.0 + 1e-3)) << "trial " << Trial;
   }
+}
+
+namespace {
+
+/// A random posynomial over variables 0..NumVars-1: 1-3 monomials with
+/// coefficients in [e^-3, e^3] and exponents in -2..2.
+Posynomial randomPosynomial(Rng &R, unsigned NumVars) {
+  Posynomial P;
+  const std::size_t Terms = 1 + R.nextIndex(3);
+  for (std::size_t T = 0; T < Terms; ++T) {
+    Monomial M(std::exp(6.0 * R.nextDouble() - 3.0));
+    for (unsigned V = 0; V < NumVars; ++V)
+      M = M * Monomial::variable(V, static_cast<double>(R.nextIndex(5)) -
+                                        2.0);
+    P += Posynomial(M);
+  }
+  return P;
+}
+
+} // namespace
+
+TEST(SolverProperties, InfeasibilityCertificateAgreesWithGridSearch) {
+  // Random GPs in 2-3 variables on the box 1 <= x <= 100 with 1-4
+  // posynomial constraints. In u = log x every log-constraint (bounds
+  // included) has a gradient of 1-norm at most 2n, so their maximum F
+  // moves by at most n*h between a point of the box and its nearest
+  // node of a grid of step h, and F > 0 outside the box. Hence, with
+  // Delta = n*h, a grid minimum of F above Delta proves that no point
+  // has F <= 0, and a node with F < -Delta is a strictly feasible
+  // witness with the same margin. The solver must find the second kind
+  // feasible without ever certifying, and certify the first kind.
+  Rng R(211);
+  const double LogBox = std::log(100.0);
+  unsigned Feasible = 0, Infeasible = 0, CertifiedNewton = 0;
+  for (int Trial = 0; Trial < 900; ++Trial) {
+    const unsigned NumVars = Trial % 6 == 5 ? 3 : 2;
+    const int Nodes = NumVars == 2 ? 81 : 33;
+    const double Step = LogBox / (Nodes - 1);
+    const double Delta = NumVars * Step + 1e-9;
+
+    GpProblem Gp;
+    for (unsigned V = 0; V < NumVars; ++V)
+      Gp.addVariableBounds(Gp.addVariable("x" + std::to_string(V)), 100.0);
+    // F(u) = max_i log f_i(e^u) over the grid, with each random
+    // constraint's monomials as rows (log c, a_1..a_n).
+    std::vector<std::vector<std::vector<double>>> Rows;
+    const std::size_t NumConstraints = 1 + R.nextIndex(4);
+    for (std::size_t C = 0; C < NumConstraints; ++C) {
+      Posynomial Lhs = randomPosynomial(R, NumVars);
+      Gp.addUpperBound(Lhs, 1.0);
+      Rows.emplace_back();
+      for (const Monomial &M : Lhs.monomials()) {
+        std::vector<double> Row(NumVars + 1, 0.0);
+        Row[0] = std::log(M.coefficient());
+        for (const Monomial::Term &T : M.terms())
+          Row[1 + T.Var] = T.Exp;
+        Rows.back().push_back(Row);
+      }
+    }
+    Gp.setObjective(randomPosynomial(R, NumVars));
+
+    double GridMin = std::numeric_limits<double>::infinity();
+    std::vector<int> Node(NumVars, 0);
+    std::vector<double> U(NumVars);
+    for (;;) {
+      double F = -std::numeric_limits<double>::infinity();
+      for (unsigned V = 0; V < NumVars; ++V) {
+        U[V] = Node[V] * Step;
+        F = std::max({F, -U[V], U[V] - LogBox});
+      }
+      for (const auto &Constraint : Rows) {
+        double Sum = 0.0;
+        for (const std::vector<double> &Row : Constraint) {
+          double Exponent = Row[0];
+          for (unsigned V = 0; V < NumVars; ++V)
+            Exponent += Row[1 + V] * U[V];
+          Sum += std::exp(Exponent);
+        }
+        F = std::max(F, std::log(Sum));
+      }
+      GridMin = std::min(GridMin, F);
+      unsigned V = 0;
+      while (V < NumVars && ++Node[V] == Nodes)
+        Node[V++] = 0;
+      if (V == NumVars)
+        break;
+    }
+
+    GpSolution S = solveGp(Gp);
+    const bool Certified =
+        S.Failure.find("certified infeasible") != std::string::npos;
+    if (GridMin < -Delta) {
+      ++Feasible;
+      EXPECT_TRUE(S.Feasible) << "trial " << Trial << ": " << S.Failure;
+      EXPECT_FALSE(Certified) << "trial " << Trial;
+    } else if (GridMin > Delta) {
+      ++Infeasible;
+      EXPECT_EQ(S.Outcome, SolveOutcome::Infeasible) << "trial " << Trial;
+      EXPECT_TRUE(Certified) << "trial " << Trial << ": " << S.Failure;
+      CertifiedNewton += S.NewtonIterations;
+    }
+  }
+  // Both verdicts must be well represented for the property to bite.
+  EXPECT_GE(Feasible, 150u);
+  EXPECT_GE(Infeasible, 150u);
+  EXPECT_LT(CertifiedNewton, 100u * Infeasible);
 }
 
 TEST(SolverProperties, TighterToleranceNeverWorsens) {

@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/FaultInjection.h"
 #include "support/Json.h"
 #include "thistle/ServeEngine.h"
 
@@ -352,6 +353,52 @@ TEST(ServeEngine, NewNetworkNamesAreAdmitted) {
   EXPECT_NE(Bad.find("\"status\":\"invalid\""), std::string::npos) << Bad;
   Engine.shutdown();
 }
+
+#if THISTLE_FAULT_INJECTION_ENABLED
+
+/// Expects \p Resp to carry \p Exit both in its envelope and in its
+/// embedded report.
+void expectExitCode(const std::string &Resp, double Exit) {
+  Expected<json::JsonValue> V = json::parseJson(Resp);
+  ASSERT_TRUE(V) << Resp;
+  const json::JsonValue *Report = V.value().find("report");
+  ASSERT_TRUE(Report && Report->find("exit_code")) << Resp;
+  EXPECT_EQ(V.value().find("exit_code")->number(), Exit) << Resp;
+  EXPECT_EQ(Report->find("exit_code")->number(), Exit) << Resp;
+}
+
+TEST(ServeEngine, EmbeddedReportCarriesTheEnvelopeExitCode) {
+  struct FaultGuard {
+    ~FaultGuard() { fault::disarmAll(); }
+  } Guard;
+
+  // One lost pair task still leaves a design: degraded, exit 1.
+  {
+    ServeEngine Engine{ServeOptions{}};
+    ASSERT_TRUE(Engine.start().isOk());
+    fault::arm("thistle.pair", /*Key=*/0, /*MaxHits=*/1);
+    std::string Resp = Engine.handleLine(LayerQuery);
+    fault::disarmAll();
+    EXPECT_NE(Resp.find("\"status\":\"degraded\""), std::string::npos)
+        << Resp;
+    expectExitCode(Resp, 1.0);
+    Engine.shutdown();
+  }
+  // Every solve infeasible: no design at all, exit 3.
+  {
+    ServeEngine Engine{ServeOptions{}};
+    ASSERT_TRUE(Engine.start().isOk());
+    fault::arm("solver.infeasible");
+    std::string Resp = Engine.handleLine(LayerQuery);
+    fault::disarmAll();
+    EXPECT_NE(Resp.find("\"status\":\"no-design\""), std::string::npos)
+        << Resp;
+    expectExitCode(Resp, 3.0);
+    Engine.shutdown();
+  }
+}
+
+#endif // THISTLE_FAULT_INJECTION_ENABLED
 
 TEST(ServeEngine, ShutdownCommandOnlySetsTheFlag) {
   ServeEngine Engine{ServeOptions{}};

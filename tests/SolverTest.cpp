@@ -225,6 +225,10 @@ TEST(GpSolver, OutcomeIsInfeasibleOnEmptyInterior) {
   GpSolution S = solveGp(Gp);
   EXPECT_FALSE(S.Feasible);
   EXPECT_EQ(S.Outcome, SolveOutcome::Infeasible);
+  // Proved by the phase-I dual bound, not by running out of iterations.
+  EXPECT_NE(S.Failure.find("certified infeasible"), std::string::npos)
+      << S.Failure;
+  EXPECT_LT(S.NewtonIterations, 100u);
 }
 
 TEST(GpSolver, TinyAndHugeCoefficientSpreads) {
@@ -365,6 +369,9 @@ TEST(GpSolver, RetryStopsOnGenuineInfeasibility) {
   EXPECT_EQ(S.Outcome, SolveOutcome::Infeasible);
   // Infeasibility is a model property, not numerics: no retries burned.
   EXPECT_EQ(Report.attempts(), 1u);
+  EXPECT_NE(S.Failure.find("certified infeasible"), std::string::npos)
+      << S.Failure;
+  EXPECT_LT(S.NewtonIterations, 100u);
 }
 
 #if THISTLE_FAULT_INJECTION_ENABLED

@@ -2,11 +2,12 @@
 # every flag the parser accepts (scraped from the tool source, so a new
 # flag cannot land undocumented), the exit codes, and the doc pointers.
 # Invoked by ctest as:
-#   cmake -DTOOL=<thistle-opt> -DSOURCE=<thistle-opt.cpp> [-DMODE=serve]
-#         -P CheckUsage.cmake
+#   cmake -DTOOL=<thistle-opt> -DSOURCE=<thistle-opt.cpp>
+#         [-DMODE=serve -DQUERY=<thistle-query>] -P CheckUsage.cmake
 # The default mode audits thistle-opt (docs/THISTLE_OPT.md mirrors its
 # usage text); MODE=serve audits the thistle-serve daemon against
-# docs/SERVING.md instead.
+# docs/SERVING.md instead. Both modes also feed malformed numeric flag
+# values to the tools and expect exit 2 naming the flag.
 
 if(MODE STREQUAL "serve")
   # Known-important flags, pinned explicitly so a parser-scrape
@@ -16,6 +17,10 @@ if(MODE STREQUAL "serve")
       --cache-dir --cache-capacity --snapshot-every --trace-json)
   set(EXIT_PAIRS "0  clean shutdown" "2  invalid arguments")
   set(DOC_POINTER "docs/SERVING.md")
+  set(BAD_NUMBERS
+      "TOOL --port abc" "TOOL --port 70000" "TOOL --threads abc"
+      "TOOL --threads -1" "TOOL --max-clients 0" "TOOL --cache-capacity 1e3"
+      "TOOL --snapshot-every -1" "QUERY --port 0" "QUERY --port 8080x")
 else()
   set(PINNED
       --layer --resnet --yolo --pipeline --network
@@ -27,6 +32,12 @@ else()
       "0  success" "1  partial/degraded" "2  invalid input"
       "3  no feasible design")
   set(DOC_POINTER "docs/OBSERVABILITY.md")
+  set(BAD_NUMBERS
+      "TOOL --threads abc" "TOOL --threads 4x" "TOOL --threads 99999999999"
+      "TOOL --candidates 0" "TOOL --candidates 99999999999"
+      "TOOL --deadline-ms 0" "TOOL --pes abc" "TOOL --regs -8"
+      "TOOL --sram-words +4" "TOOL --resnet 13" "TOOL --cache-capacity -1"
+      "TOOL --shard 1/x" "TOOL --layer 16,8,14,14,3,99999999999")
 endif()
 
 execute_process(
@@ -84,3 +95,25 @@ endif()
 if(NOT ERR MATCHES "unknown option")
   message(FATAL_ERROR "unknown option: missing diagnostic\n${ERR}")
 endif()
+
+# Numeric flag values are parsed strictly (tools/NumericFlag.h): a value
+# that is not one whole in-range integer exits 2 naming the flag before
+# any work starts. The timeout keeps a regression that accepts a bad
+# --port from leaving a daemon running.
+foreach(CASE ${BAD_NUMBERS})
+  separate_arguments(ARGS UNIX_COMMAND "${CASE}")
+  list(POP_FRONT ARGS WHICH)
+  list(GET ARGS 0 FLAG)
+  execute_process(
+    COMMAND ${${WHICH}} ${ARGS}
+    OUTPUT_VARIABLE OUT
+    ERROR_VARIABLE ERR
+    RESULT_VARIABLE CODE
+    TIMEOUT 60)
+  if(NOT CODE EQUAL 2)
+    message(FATAL_ERROR "'${CASE}': expected exit code 2, got '${CODE}'")
+  endif()
+  if(NOT ERR MATCHES "error: ${FLAG} ")
+    message(FATAL_ERROR "'${CASE}': diagnostic does not name ${FLAG}\n${ERR}")
+  endif()
+endforeach()

@@ -29,10 +29,11 @@
 #include "thistle/Optimizer.h"
 #include "workloads/Workloads.h"
 
+#include "NumericFlag.h"
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cctype>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -40,6 +41,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 using namespace thistle;
@@ -102,11 +104,11 @@ const FlagSpec WorkloadFlags[] = {
 const FlagSpec OptimizationFlags[] = {
     {"--mode", "dataflow|codesign", "(default: dataflow)"},
     {"--objective", "energy|delay|edp", "(default: energy)"},
-    {"--candidates", "N", "rounding width n (default: 2)"},
+    {"--candidates", "N", "rounding width n, 1-64 (default: 2)"},
     {"--threads", "N",
-     "worker threads for the pair sweep\n"
-     "(default: all hardware threads;\n"
-     "results are identical at any N)"},
+     "worker threads for the pair sweep,\n"
+     "0-1024 (default and 0: all hardware\n"
+     "threads; results are identical at any N)"},
     {"--deadline-ms", "N",
      "wall-clock budget for the sweep;\n"
      "pairs starting after it are skipped\n"
@@ -243,23 +245,23 @@ void printUsage(const char *Prog) {
       "  3  no feasible design found (--network: for any layer)\n");
 }
 
-/// Parses "a,b,c,..." into integers; returns false on malformed input.
+/// Ceiling of --candidates: the rounding width per GP variable.
+constexpr long long MaxCandidates = 64;
+
+/// Parses "a,b,c,..." into non-negative integers; returns false on
+/// malformed or out-of-range input.
 bool parseInts(const char *Text, std::vector<std::int64_t> &Out) {
   Out.clear();
-  std::string Token;
-  for (const char *P = Text;; ++P) {
-    if (*P == ',' || *P == '\0') {
-      if (Token.empty())
-        return false;
-      Out.push_back(std::atoll(Token.c_str()));
-      Token.clear();
-      if (*P == '\0')
-        return true;
-    } else if (std::isdigit(static_cast<unsigned char>(*P))) {
-      Token += *P;
-    } else {
+  std::string_view Rest = Text;
+  for (;;) {
+    std::size_t Comma = Rest.find(',');
+    long long V = 0;
+    if (!parseIntToken(Rest.substr(0, Comma), 0, MaxFlagCount, V))
       return false;
-    }
+    Out.push_back(V);
+    if (Comma == std::string_view::npos)
+      return true;
+    Rest.remove_prefix(Comma + 1);
   }
 }
 
@@ -753,12 +755,8 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--resnet" || Arg == "--yolo") {
       std::vector<ConvLayer> Layers =
           Arg == "--resnet" ? resnet18Layers() : yolo9000Layers();
-      long N = std::atol(needValue());
-      if (N < 1 || static_cast<std::size_t>(N) > Layers.size()) {
-        std::fprintf(stderr, "error: %s index out of range (1-%zu)\n",
-                     Arg.c_str(), Layers.size());
-        return 2;
-      }
+      long long N = parseIntFlag(Arg.c_str(), needValue(), 1,
+                                 static_cast<long long>(Layers.size()));
       Layer = Layers[static_cast<std::size_t>(N - 1)];
       HaveLayer = true;
     } else if (Arg == "--pipeline") {
@@ -814,28 +812,26 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (Arg == "--candidates") {
-      Options.Rounding.NumCandidates =
-          static_cast<unsigned>(std::atoi(needValue()));
+      Options.Rounding.NumCandidates = static_cast<unsigned>(
+          parseIntFlag("--candidates", needValue(), 1, MaxCandidates));
     } else if (Arg == "--threads") {
-      Options.Threads = static_cast<unsigned>(std::atoi(needValue()));
+      Options.Threads = static_cast<unsigned>(
+          parseIntFlag("--threads", needValue(), 0, MaxThreads));
     } else if (Arg == "--deadline-ms") {
-      long Ms = std::atol(needValue());
-      if (Ms <= 0) {
-        std::fprintf(stderr, "error: --deadline-ms wants a positive "
-                             "millisecond count\n");
-        return 2;
-      }
-      Options.Deadline = std::chrono::milliseconds(Ms);
+      Options.Deadline = std::chrono::milliseconds(
+          parseIntFlag("--deadline-ms", needValue(), 1, MaxFlagCount));
     } else if (Arg == "--hierarchy") {
       HierarchySpec = needValue();
     } else if (Arg == "--evaluator") {
       EvaluatorName = needValue();
     } else if (Arg == "--pes") {
-      Arch.NumPEs = std::atoll(needValue());
+      Arch.NumPEs = parseIntFlag("--pes", needValue(), 1, MaxFlagCount);
     } else if (Arg == "--regs") {
-      Arch.RegWordsPerPE = std::atoll(needValue());
+      Arch.RegWordsPerPE =
+          parseIntFlag("--regs", needValue(), 1, MaxFlagCount);
     } else if (Arg == "--sram-words") {
-      Arch.SramWords = std::atoll(needValue());
+      Arch.SramWords =
+          parseIntFlag("--sram-words", needValue(), 1, MaxFlagCount);
     } else if (Arg == "--area-budget") {
       AreaBudget = std::atof(needValue());
     } else if (Arg == "--cache-dir" || Arg == "--resume") {
@@ -845,23 +841,16 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (Arg == "--cache-capacity") {
-      long long N = std::atoll(needValue());
-      if (N < 0) {
-        std::fprintf(stderr, "error: --cache-capacity wants a "
-                             "non-negative entry count (0 = unbounded)\n");
-        return 2;
-      }
-      PC.Capacity = static_cast<std::uint64_t>(N);
+      PC.Capacity = static_cast<std::uint64_t>(
+          parseIntFlag("--cache-capacity", needValue(), 0, MaxFlagCount));
       HaveCapacity = true;
     } else if (Arg == "--shard") {
-      std::string V = needValue();
+      std::string_view V = needValue();
       std::size_t Slash = V.find('/');
-      long I = Slash == std::string::npos
-                   ? 0
-                   : std::atol(V.substr(0, Slash).c_str());
-      long N =
-          Slash == std::string::npos ? 0 : std::atol(V.c_str() + Slash + 1);
-      if (I < 1 || N < 1 || I > N) {
+      long long I = 0, N = 0;
+      if (Slash == std::string_view::npos ||
+          !parseIntToken(V.substr(0, Slash), 1, MaxFlagCount, I) ||
+          !parseIntToken(V.substr(Slash + 1), 1, MaxFlagCount, N) || I > N) {
         std::fprintf(stderr,
                      "error: --shard wants I/N with 1 <= I <= N\n");
         return 2;

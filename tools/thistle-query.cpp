@@ -17,6 +17,8 @@
 
 #include "support/LineSocket.h"
 
+#include "NumericFlag.h"
+
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -57,7 +59,8 @@ void printUsage(const char *Prog) {
       "\nexit codes:\n"
       "  0  every request got a response\n"
       "  1  a connection or transport failure\n"
-      "  2  invalid arguments\n");
+      "  2  invalid arguments\n",
+      Prog);
 }
 
 /// Cuts the response at its `server` section — the only part that is
@@ -127,7 +130,7 @@ int main(int Argc, char **Argv) {
       printUsage(Argv[0]);
       return 0;
     } else if (Arg == "--port") {
-      Port = std::atol(needValue());
+      Port = parseIntFlag("--port", needValue(), 1, 65535);
     } else if (Arg == "--port-file") {
       PortFile = needValue();
     } else if (Arg == "--request") {

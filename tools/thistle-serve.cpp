@@ -22,6 +22,8 @@
 #include "support/ThreadPool.h"
 #include "thistle/ServeEngine.h"
 
+#include "NumericFlag.h"
+
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -70,9 +72,10 @@ const FlagSpec ServerFlags[] = {
      "connects get an error response and\n"
      "are closed (default: 64)"},
     {"--threads", "N",
-     "worker threads shared by the solves\n"
-     "(default: all hardware threads;\n"
-     "responses are identical at any N)"},
+     "worker threads shared by the solves,\n"
+     "0-1024 (default and 0: all hardware\n"
+     "threads; responses are identical at\n"
+     "any N)"},
 };
 
 const FlagSpec PersistenceFlags[] = {
@@ -218,24 +221,16 @@ int main(int Argc, char **Argv) {
       printUsage(Argv[0]);
       return 0;
     } else if (Arg == "--port") {
-      long N = std::atol(needValue());
-      if (N < 0 || N > 65535) {
-        std::fprintf(stderr, "error: --port wants 0-65535\n");
-        return 2;
-      }
-      Port = static_cast<std::uint16_t>(N);
+      Port = static_cast<std::uint16_t>(
+          parseIntFlag("--port", needValue(), 0, 65535));
     } else if (Arg == "--port-file") {
       PortFile = needValue();
     } else if (Arg == "--max-clients") {
-      long N = std::atol(needValue());
-      if (N < 1) {
-        std::fprintf(stderr,
-                     "error: --max-clients wants a positive count\n");
-        return 2;
-      }
-      MaxClients = static_cast<unsigned>(N);
+      MaxClients = static_cast<unsigned>(
+          parseIntFlag("--max-clients", needValue(), 1, MaxFlagCount));
     } else if (Arg == "--threads") {
-      SO.Threads = static_cast<unsigned>(std::atoi(needValue()));
+      SO.Threads = static_cast<unsigned>(
+          parseIntFlag("--threads", needValue(), 0, MaxThreads));
     } else if (Arg == "--cache-dir") {
       SO.CacheDir = needValue();
       if (SO.CacheDir.empty()) {
@@ -243,22 +238,11 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (Arg == "--cache-capacity") {
-      long long N = std::atoll(needValue());
-      if (N < 0) {
-        std::fprintf(stderr, "error: --cache-capacity wants a "
-                             "non-negative entry count (0 = unbounded)\n");
-        return 2;
-      }
-      SO.CacheCapacity = static_cast<std::uint64_t>(N);
+      SO.CacheCapacity = static_cast<std::uint64_t>(
+          parseIntFlag("--cache-capacity", needValue(), 0, MaxFlagCount));
     } else if (Arg == "--snapshot-every") {
-      long N = std::atol(needValue());
-      if (N < 0) {
-        std::fprintf(stderr, "error: --snapshot-every wants a "
-                             "non-negative solve count (0 = only at "
-                             "shutdown)\n");
-        return 2;
-      }
-      SO.SnapshotEvery = static_cast<unsigned>(N);
+      SO.SnapshotEvery = static_cast<unsigned>(
+          parseIntFlag("--snapshot-every", needValue(), 0, MaxFlagCount));
     } else if (Arg == "--trace-json") {
       TraceJsonPath = needValue();
     } else {
