@@ -186,21 +186,18 @@ bool endsWith(const std::string &S, const char *Suffix) {
 
 } // namespace
 
-GpCacheKeys thistle::gpCacheKeys(const Problem &Prob,
-                                 const ThistleOptions &Options,
-                                 const ArchConfig &Arch,
-                                 const TechParams &Tech,
-                                 double AreaBudgetUm2,
-                                 const std::vector<unsigned> &TiledIters,
-                                 const std::vector<unsigned> &PePerm,
-                                 const std::vector<unsigned> &DramPerm) {
+GpCacheKeyMaterial
+thistle::gpCacheKeyMaterial(const Problem &Prob, const ThistleOptions &Options,
+                            const ArchConfig &Arch, const TechParams &Tech,
+                            double AreaBudgetUm2,
+                            const std::vector<unsigned> &TiledIters) {
   // Structural part, shared by both keys: iterator names, tensor
-  // skeleton (which iterators project into which dimension), perms and
-  // the mode/objective/options that shape the generated program. The
+  // skeleton (which iterators project into which dimension) and the
+  // mode/objective/options that shape the generated program. The
   // problem *name* is excluded on purpose: identically shaped layers of
   // different networks must share entries.
-  std::string S;
-  S.reserve(256);
+  GpCacheKeyMaterial M;
+  std::string &S = M.Structure;
   S += "it:";
   for (const Iterator &It : Prob.iterators()) {
     S += It.Name;
@@ -229,15 +226,12 @@ GpCacheKeys thistle::gpCacheKeys(const Problem &Prob,
   S += Options.SpatialUntiled ? ",su1," : ",su0,";
   S += "tiled:";
   appendIndices(S, TiledIters);
-  S += "q:";
-  appendIndices(S, PePerm);
-  S += "s:";
-  appendIndices(S, DramPerm);
 
   // Numeric part, exact key only: extents, projection strides, the
   // architecture/technology constants and every option that changes the
   // solve or rounding trajectory.
-  std::string N = "|ext:";
+  std::string &N = M.Numbers;
+  N = "|ext:";
   for (const Iterator &It : Prob.iterators())
     appendNumber(N, It.Extent);
   N += "str:";
@@ -275,10 +269,22 @@ GpCacheKeys thistle::gpCacheKeys(const Problem &Prob,
   appendNumber(N, Options.Solver.StartPerturbation);
   appendNumber(N, Options.Solver.ObjectiveScale);
   appendNumber(N, static_cast<std::int64_t>(Options.Solver.MaxSolveAttempts));
+  return M;
+}
 
+GpCacheKeys thistle::gpCacheKeys(const GpCacheKeyMaterial &Material,
+                                 const std::vector<unsigned> &PePerm,
+                                 const std::vector<unsigned> &DramPerm) {
   GpCacheKeys Keys;
-  Keys.Warm = S;
-  Keys.Exact = std::move(S) + N;
+  std::string &W = Keys.Warm;
+  W.reserve(Material.Structure.size() + 8 +
+            4 * (PePerm.size() + DramPerm.size()));
+  W = Material.Structure;
+  W += "q:";
+  appendIndices(W, PePerm);
+  W += "s:";
+  appendIndices(W, DramPerm);
+  Keys.Exact = W + Material.Numbers;
   return Keys;
 }
 

@@ -85,13 +85,32 @@ struct GpCacheKeys {
   std::string Warm;  ///< Structural identity (extents/arch/tech erased).
 };
 
-/// Builds the canonical keys for one (problem, options, arch, pair)
-/// task. Layer names are deliberately excluded so identically shaped
-/// layers of different networks share entries.
-GpCacheKeys gpCacheKeys(const Problem &Prob, const ThistleOptions &Options,
-                        const ArchConfig &Arch, const TechParams &Tech,
-                        double AreaBudgetUm2,
-                        const std::vector<unsigned> &TiledIters,
+/// The key text shared by every pair task of one sweep: everything but
+/// the two class permutations. Formatted once per sweep context, so a
+/// task only appends its permutations.
+struct GpCacheKeyMaterial {
+  /// Iterator names, tensor skeleton, mode/objective and the tiled set;
+  /// the permutations follow it in both keys.
+  std::string Structure;
+  /// Extents, strides, architecture, technology, area budget and the
+  /// rounding/solver options; ends the exact key only.
+  std::string Numbers;
+};
+
+/// Formats the key material of a (problem, options, arch) sweep. Layer
+/// names are deliberately excluded so identically shaped layers of
+/// different networks share entries.
+GpCacheKeyMaterial gpCacheKeyMaterial(const Problem &Prob,
+                                      const ThistleOptions &Options,
+                                      const ArchConfig &Arch,
+                                      const TechParams &Tech,
+                                      double AreaBudgetUm2,
+                                      const std::vector<unsigned> &TiledIters);
+
+/// The canonical keys of the sweep's (PePerm, DramPerm) pair task. The
+/// key text is durable (docs/PERSISTENCE.md): snapshots and journals
+/// store it.
+GpCacheKeys gpCacheKeys(const GpCacheKeyMaterial &Material,
                         const std::vector<unsigned> &PePerm,
                         const std::vector<unsigned> &DramPerm);
 

@@ -194,10 +194,14 @@ NetworkResult thistle::optimizeNetwork(const std::vector<ConvLayer> &Layers,
         PairSweepContext Ctx{Shapes[S].Prob, Plans[S], Opts,
                              CellArchs[Cell], Tech,     PhaseBudget};
         Ctx.Cache = Options.Cache;
+        if (Ctx.Cache)
+          Ctx.CacheKeys = gpCacheKeyMaterial(Shapes[S].Prob, Opts,
+                                             CellArchs[Cell], Tech,
+                                             PhaseBudget, Plans[S].TiledIters);
         Ctx.HasDeadline = HasDeadline;
         Ctx.DeadlineAt = DeadlineAt;
         Ctx.SpanIndexBase = SpanBase + Cell * PhaseTasks + Offsets[S];
-        Ctxs.push_back(Ctx);
+        Ctxs.push_back(std::move(Ctx));
       }
     if (Options.Cache)
       Options.Cache->beginGeneration();

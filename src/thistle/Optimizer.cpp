@@ -51,6 +51,9 @@ ThistleResult thistle::optimizeLayer(const Problem &Prob,
   PairSweepContext Ctx{Prob,  Plan, Options, Arch,
                        Tech,  AreaBudgetUm2};
   Ctx.Cache = Run.Cache;
+  if (Ctx.Cache)
+    Ctx.CacheKeys = gpCacheKeyMaterial(Prob, Options, Arch, Tech,
+                                       AreaBudgetUm2, Plan.TiledIters);
   Ctx.HasDeadline = resolveSweepDeadline(Options.Deadline,
                                          Options.DeadlineAt, Ctx.DeadlineAt);
 

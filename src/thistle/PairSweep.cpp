@@ -6,6 +6,8 @@
 #include "support/Telemetry.h"
 
 #include <algorithm>
+#include <cassert>
+#include <compare>
 #include <exception>
 #include <tuple>
 #include <utility>
@@ -82,6 +84,19 @@ LayerSweepPlan thistle::planLayerSweep(const Problem &Prob,
   if (Options.UseSymmetryPruning)
     Symmetries = findProblemSymmetries(Prob);
 
+  // Symmetry pruning skips a pair if a problem symmetry maps it to a
+  // lexicographically smaller pair (its mirror image was/will be solved
+  // instead). The comparison is lexicographic over (PE, DRAM) class, so
+  // it only needs each class's image under each symmetry ordered
+  // against the class itself, computed once per class here.
+  std::vector<std::vector<std::strong_ordering>> MappedOrder(
+      Symmetries.size());
+  for (std::size_t K = 0; K < Symmetries.size(); ++K)
+    for (const PermClass &C : Plan.Classes)
+      MappedOrder[K].push_back(
+          C.Signature.mapped(Symmetries[K].IterMap,
+                             Symmetries[K].TensorMap) <=> C.Signature);
+
   // Symmetry pruning and the pair cap depend on the enumeration order,
   // so the task list is fixed here, before any fan-out. Capped pairs
   // are recorded as policy skips with indices following the planned
@@ -93,22 +108,10 @@ LayerSweepPlan thistle::planLayerSweep(const Problem &Prob,
     for (std::size_t SI = 0; SI < Plan.Classes.size(); ++SI) {
       ++Plan.PairsTotal;
 
-      // Symmetry pruning: skip a pair if a problem symmetry maps it to a
-      // lexicographically smaller pair (its mirror image was/will be
-      // solved instead).
-      bool Skip = false;
-      for (const ProblemSymmetry &Sym : Symmetries) {
-        PermSignature MappedQ =
-            Plan.Classes[QI].Signature.mapped(Sym.IterMap, Sym.TensorMap);
-        PermSignature MappedS =
-            Plan.Classes[SI].Signature.mapped(Sym.IterMap, Sym.TensorMap);
-        if (std::tie(MappedQ, MappedS) <
-            std::tie(Plan.Classes[QI].Signature,
-                     Plan.Classes[SI].Signature)) {
-          Skip = true;
-          break;
-        }
-      }
+      const bool Skip = std::any_of(
+          MappedOrder.begin(), MappedOrder.end(), [&](const auto &Order) {
+            return Order[QI] < 0 || (Order[QI] == 0 && Order[SI] < 0);
+          });
       if (Skip) {
         ++Plan.PairsSkippedBySymmetry;
         continue;
@@ -177,10 +180,11 @@ void thistle::runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
   // what is replayed is always a genuinely computed outcome.
   std::string ExactKey, WarmKey;
   if (Ctx.Cache) {
-    GpCacheKeys Keys = gpCacheKeys(
-        Ctx.Prob, Options, Ctx.Arch, Ctx.Tech, Ctx.AreaBudgetUm2,
-        Plan.TiledIters, Plan.Classes[Task.QI].Representative,
-        Plan.Classes[Task.SI].Representative);
+    assert(!Ctx.CacheKeys.Structure.empty() &&
+           "a cached sweep context needs its key material");
+    GpCacheKeys Keys =
+        gpCacheKeys(Ctx.CacheKeys, Plan.Classes[Task.QI].Representative,
+                    Plan.Classes[Task.SI].Representative);
     ExactKey = std::move(Keys.Exact);
     WarmKey = std::move(Keys.Warm);
     GpCacheEntry Hit;

@@ -86,8 +86,12 @@ struct PairSweepContext {
   double AreaBudgetUm2 = 0.0;
   /// Optional shared solution cache (see thistle/GpCache.h).
   GpSolutionCache *Cache = nullptr;
+  /// The sweep's cache key material (gpCacheKeyMaterial over the fields
+  /// above); formatted once, where the context is built, when Cache is
+  /// set.
+  GpCacheKeyMaterial CacheKeys{};
   bool HasDeadline = false;
-  std::chrono::steady_clock::time_point DeadlineAt;
+  std::chrono::steady_clock::time_point DeadlineAt{};
   /// Added to the task index for telemetry span indexing, so several
   /// layer sweeps sharing one epoch (the network driver) keep globally
   /// ordered span indices.

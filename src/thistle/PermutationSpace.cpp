@@ -127,22 +127,13 @@ TensorShape shapeOf(const Tensor &T, const std::vector<unsigned> &IterMap) {
   return Shape;
 }
 
-/// Checks whether relabeling iterators by \p IterMap leaves the problem
-/// invariant; fills \p TensorMap with the induced tensor reordering.
-bool isSymmetry(const Problem &Prob, const std::vector<unsigned> &IterMap,
+/// Checks whether relabeling iterators by \p IterMap, which preserves
+/// every extent, leaves the problem invariant: each tensor's mapped
+/// shape must match a distinct one of \p Originals (the identity
+/// shapes). Fills \p TensorMap with the induced tensor reordering.
+bool isSymmetry(const Problem &Prob, const std::vector<TensorShape> &Originals,
+                const std::vector<unsigned> &IterMap,
                 std::vector<unsigned> &TensorMap) {
-  // Extents must be preserved.
-  for (unsigned I = 0; I < Prob.numIterators(); ++I)
-    if (Prob.iterators()[I].Extent != Prob.iterators()[IterMap[I]].Extent)
-      return false;
-
-  std::vector<unsigned> Identity(Prob.numIterators());
-  std::iota(Identity.begin(), Identity.end(), 0u);
-
-  std::vector<TensorShape> Originals;
-  for (const Tensor &T : Prob.tensors())
-    Originals.push_back(shapeOf(T, Identity));
-
   TensorMap.assign(Prob.tensors().size(), ~0u);
   std::vector<bool> Used(Prob.tensors().size(), false);
   for (std::size_t TI = 0; TI < Prob.tensors().size(); ++TI) {
@@ -171,16 +162,26 @@ thistle::findProblemSymmetries(const Problem &Prob) {
 
   std::vector<unsigned> Identity(N);
   std::iota(Identity.begin(), Identity.end(), 0u);
+  std::vector<TensorShape> Originals;
+  for (const Tensor &T : Prob.tensors())
+    Originals.push_back(shapeOf(T, Identity));
 
+  // A symmetry must preserve extents, so only transpositions of
+  // equal-extent iterators are candidates.
+  auto swappable = [&Prob](unsigned A, unsigned B) {
+    return Prob.iterators()[A].Extent == Prob.iterators()[B].Extent;
+  };
   auto tryMap = [&](std::vector<unsigned> IterMap) {
     std::vector<unsigned> TensorMap;
-    if (isSymmetry(Prob, IterMap, TensorMap))
+    if (isSymmetry(Prob, Originals, IterMap, TensorMap))
       Out.push_back({std::move(IterMap), std::move(TensorMap)});
   };
 
   // Single transpositions.
   for (unsigned A = 0; A < N; ++A)
     for (unsigned B = A + 1; B < N; ++B) {
+      if (!swappable(A, B))
+        continue;
       std::vector<unsigned> Map = Identity;
       std::swap(Map[A], Map[B]);
       tryMap(std::move(Map));
@@ -188,15 +189,18 @@ thistle::findProblemSymmetries(const Problem &Prob) {
 
   // Products of two disjoint transpositions (e.g. {h<->w, r<->s}).
   for (unsigned A = 0; A < N; ++A)
-    for (unsigned B = A + 1; B < N; ++B)
+    for (unsigned B = A + 1; B < N; ++B) {
+      if (!swappable(A, B))
+        continue;
       for (unsigned C = A + 1; C < N; ++C)
         for (unsigned D = C + 1; D < N; ++D) {
-          if (C == B || D == B)
+          if (C == B || D == B || !swappable(C, D))
             continue;
           std::vector<unsigned> Map = Identity;
           std::swap(Map[A], Map[B]);
           std::swap(Map[C], Map[D]);
           tryMap(std::move(Map));
         }
+    }
   return Out;
 }

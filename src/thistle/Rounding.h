@@ -29,6 +29,11 @@
 
 namespace thistle {
 
+/// Ceiling of RoundingOptions::NumCandidates accepted from users
+/// (thistle-opt --candidates, the serve "candidates" field): the
+/// rounding width per GP variable.
+inline constexpr unsigned MaxRoundingCandidates = 64;
+
 /// Rounding configuration (the paper's n is NumCandidates, "typically 2
 /// or 3 to avoid explosion of valid candidate solutions").
 struct RoundingOptions {

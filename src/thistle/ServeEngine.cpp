@@ -86,6 +86,12 @@ struct ServeEngine::SolveJob {
 
 namespace {
 
+/// Ceiling of every count in a query (layer dimensions, groups,
+/// "deadline_ms", the "arch" fields): the largest 32-bit int, as for
+/// thistle-opt's count flags (tools/NumericFlag.h), so no count
+/// overflows the layer arithmetic or the deadline clock.
+constexpr std::uint64_t MaxQueryCount = 2147483647;
+
 /// Parses the "workload" member into the job. Mirrors thistle-opt's
 /// --layer/--resnet/--yolo/--network handling, including the workload
 /// names that end up in the run report.
@@ -103,9 +109,10 @@ Status parseWorkload(const JsonValue &W, ServeEngine::SolveJob &Job) {
     std::vector<std::int64_t> Dims;
     for (const JsonValue &E : A.array()) {
       std::uint64_t N = 0;
-      if (!E.asUint(N) || N < 1)
+      if (!E.asUint(N) || N < 1 || N > MaxQueryCount)
         return Status::invalidArgument(
-            "\"layer\" dimensions must be positive integers");
+            "\"layer\" dimensions must be positive integers, at most " +
+            std::to_string(MaxQueryCount));
       Dims.push_back(static_cast<std::int64_t>(N));
     }
     Job.Layer.Name = "custom";
@@ -132,9 +139,10 @@ Status parseWorkload(const JsonValue &W, ServeEngine::SolveJob &Job) {
           Dims = &LV;
         } else if (LK == "groups") {
           std::uint64_t N = 0;
-          if (!LV.asUint(N) || N < 1)
+          if (!LV.asUint(N) || N < 1 || N > MaxQueryCount)
             return Status::invalidArgument(
-                "\"layer.groups\" wants a positive integer");
+                "\"layer.groups\" wants an integer in 1.." +
+                std::to_string(MaxQueryCount));
           Job.Layer.Groups = static_cast<std::int64_t>(N);
         } else if (LK == "transposed") {
           if (!LV.isBool())
@@ -236,15 +244,17 @@ Status parseQuery(const JsonValue &Q, const TechParams &Tech,
                                        "'");
     } else if (K == "candidates") {
       std::uint64_t N = 0;
-      if (!V.asUint(N) || N < 1)
+      if (!V.asUint(N) || N < 1 || N > MaxRoundingCandidates)
         return Status::invalidArgument(
-            "\"candidates\" wants a positive integer");
+            "\"candidates\" wants an integer in 1.." +
+            std::to_string(MaxRoundingCandidates));
       Job.Candidates = static_cast<unsigned>(N);
     } else if (K == "deadline_ms") {
       std::uint64_t N = 0;
-      if (!V.asUint(N) || N < 1)
+      if (!V.asUint(N) || N < 1 || N > MaxQueryCount)
         return Status::invalidArgument(
-            "\"deadline_ms\" wants a positive millisecond count");
+            "\"deadline_ms\" wants a millisecond count in 1.." +
+            std::to_string(MaxQueryCount));
       Job.DeadlineMs = N;
     } else if (K == "area_budget") {
       if (!V.isNumber() || V.number() <= 0.0)
@@ -256,9 +266,10 @@ Status parseQuery(const JsonValue &Q, const TechParams &Tech,
         return Status::invalidArgument("\"arch\" must be an object");
       for (const auto &[AK, AV] : V.members()) {
         std::uint64_t N = 0;
-        if (!AV.asUint(N) || N < 1)
+        if (!AV.asUint(N) || N < 1 || N > MaxQueryCount)
           return Status::invalidArgument("\"arch." + AK +
-                                         "\" wants a positive integer");
+                                         "\" wants an integer in 1.." +
+                                         std::to_string(MaxQueryCount));
         if (AK == "pes")
           Job.Arch.NumPEs = static_cast<std::int64_t>(N);
         else if (AK == "regs")

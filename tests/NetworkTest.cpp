@@ -11,9 +11,13 @@
 #include "ir/Builders.h"
 #include "nestmodel/Evaluator.h"
 #include "thistle/Network.h"
+#include "thistle/PairSweep.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string_view>
 
 using namespace thistle;
 
@@ -519,4 +523,78 @@ TEST(Network, CodesignSliceKeepsItsAnswerWithCertifiedInfeasibility) {
       ++Certified;
     }
   EXPECT_EQ(Certified, R.Report.Infeasible);
+}
+
+namespace {
+
+/// Folds \p Bytes into the FNV-1a-64 hash \p H.
+void fnv1a(std::uint64_t &H, std::string_view Bytes) {
+  for (unsigned char B : Bytes) {
+    H ^= B;
+    H *= 0x100000001b3ull;
+  }
+}
+
+} // namespace
+
+TEST(GpCacheKeys, KeyBytesAndSweepPlansArePinned) {
+  // The exact and warm key text is part of the durable cache format
+  // (docs/PERSISTENCE.md): snapshots and journals store it, so one
+  // changed byte turns every stored entry into a miss. This hashes the
+  // plan counts and both keys of every pair task of the four layer
+  // tables, in both modes and all three objectives, as phase 1 of the
+  // network driver would key them.
+  const TechParams Tech = TechParams::cgo45nm();
+  const ArchConfig Arch = eyerissArch();
+  std::uint64_t Hash = 0xcbf29ce484222325ull;
+  std::size_t Tasks = 0;
+  std::string FirstExact;
+  for (const std::vector<ConvLayer> &Table :
+       {resnet18Layers(), yolo9000Layers(), mobilenetV2Layers(),
+        dcganLayers()})
+    for (DesignMode Mode : {DesignMode::DataflowOnly, DesignMode::CoDesign})
+      for (SearchObjective Objective :
+           {SearchObjective::Energy, SearchObjective::Delay,
+            SearchObjective::EnergyDelayProduct}) {
+        ThistleOptions Options;
+        Options.Mode = Mode;
+        Options.Objective = Objective;
+        const double Area =
+            Mode == DesignMode::CoDesign ? eyerissAreaUm2(Tech) : 0.0;
+        for (const ConvLayer &L : Table) {
+          const Problem Prob = makeConvProblem(L);
+          const LayerSweepPlan Plan = planLayerSweep(Prob, Options);
+          fnv1a(Hash, std::to_string(Plan.Classes.size()) + "," +
+                          std::to_string(Plan.RawPermsPerLevel) + "," +
+                          std::to_string(Plan.PairsTotal) + "," +
+                          std::to_string(Plan.PairsSkippedBySymmetry) + "," +
+                          std::to_string(Plan.Pairs.size()) + "\n");
+          const GpCacheKeyMaterial Material = gpCacheKeyMaterial(
+              Prob, Options, Arch, Tech, Area, Plan.TiledIters);
+          for (const PairTask &Task : Plan.Pairs) {
+            GpCacheKeys Keys =
+                gpCacheKeys(Material, Plan.Classes[Task.QI].Representative,
+                            Plan.Classes[Task.SI].Representative);
+            fnv1a(Hash, std::to_string(Task.QI) + "," +
+                            std::to_string(Task.SI) + "\n");
+            fnv1a(Hash, Keys.Exact + "\n" + Keys.Warm + "\n");
+            if (Tasks++ == 0)
+              FirstExact = Keys.Exact;
+          }
+        }
+      }
+  EXPECT_EQ(Tasks, 10776u);
+  EXPECT_EQ(Hash, 0xec78f7a7693f40b5ull);
+  // ResNet-18 layer 1, dataflow/energy, first planned pair.
+  EXPECT_EQ(FirstExact,
+            "it:n,k,c,r,s,h,w,"
+            "|tn:Out+rw[0;][1;][5;][6;],In[0;][2;][5;3;][6;4;],"
+            "Ker[1;][2;][3;][4;],"
+            "|opt:dataflow,energy,su1,tiled:1.2.5.6.,q:5.6.2.1.,s:5.6.2.1.,"
+            "|ext:1,64,3,7,7,112,112,str:1,1,1,1,1,1,2,1,2,1,1,1,1,1,"
+            "arch:168,512,65536,16,160,"
+            "tech:1239.5,19.873999999999999,6.806,2.2000000000000002,"
+            "0.0090671899999999993,0.01788,128,"
+            "area:0,round:2,0,4000,"
+            "solver:9.9999999999999995e-08,1,20,250,50,0,1,3,");
 }

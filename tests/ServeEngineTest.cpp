@@ -315,6 +315,10 @@ TEST(ServeEngine, GeneralConvValidationUsesTheErrorEnvelope) {
       {"{\"schema\":\"thistle-serve/1\",\"query\":{\"workload\":"
        "{\"layer\":[8,8,10,10,3,3,1,0]}}}",
        "positive"},
+      // A kernel width beyond thistle-opt's --layer range.
+      {"{\"schema\":\"thistle-serve/1\",\"query\":{\"workload\":"
+       "{\"layer\":[16,8,14,14,3,99999999999]}}}",
+       "at most 2147483647"},
       // Unknown padding token.
       {"{\"schema\":\"thistle-serve/1\",\"query\":{\"workload\":"
        "{\"layer\":{\"dims\":[8,8,10,10,3,3],\"padding\":\"diagonal\"}}}}",
@@ -322,7 +326,23 @@ TEST(ServeEngine, GeneralConvValidationUsesTheErrorEnvelope) {
       // Unknown field in the layer object (strict parsing).
       {"{\"schema\":\"thistle-serve/1\",\"query\":{\"workload\":"
        "{\"layer\":{\"dims\":[8,8,10,10,3,3],\"dilated\":true}}}}",
-       "layer"}};
+       "layer"},
+      // 2^32 + 1 candidates: must not narrow to 1.
+      {"{\"schema\":\"thistle-serve/1\",\"query\":{\"workload\":"
+       "{\"layer\":[16,8,7,7,3,3]},\"candidates\":4294967297}}",
+       "\\\"candidates\\\" wants an integer in 1..64"},
+      // Above thistle-opt's --candidates range.
+      {"{\"schema\":\"thistle-serve/1\",\"query\":{\"workload\":"
+       "{\"layer\":[16,8,7,7,3,3]},\"candidates\":100}}",
+       "\\\"candidates\\\" wants an integer in 1..64"},
+      // About 317 years: would overflow the deadline's time point.
+      {"{\"schema\":\"thistle-serve/1\",\"query\":{\"workload\":"
+       "{\"layer\":[16,8,7,7,3,3]},\"deadline_ms\":10000000000000}}",
+       "deadline_ms\\\" wants a millisecond count in 1..2147483647"},
+      // An architecture size beyond the 32-bit count range.
+      {"{\"schema\":\"thistle-serve/1\",\"query\":{\"workload\":"
+       "{\"layer\":[16,8,7,7,3,3]},\"arch\":{\"regs\":2147483648}}}",
+       "\\\"arch.regs\\\" wants an integer in 1..2147483647"}};
   for (const Case &C : Cases) {
     std::string Resp = Engine.handleLine(C.Query);
     EXPECT_NE(Resp.find("\"status\":\"invalid\""), std::string::npos)

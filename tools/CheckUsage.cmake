@@ -37,7 +37,10 @@ else()
       "TOOL --candidates 0" "TOOL --candidates 99999999999"
       "TOOL --deadline-ms 0" "TOOL --pes abc" "TOOL --regs -8"
       "TOOL --sram-words +4" "TOOL --resnet 13" "TOOL --cache-capacity -1"
-      "TOOL --shard 1/x" "TOOL --layer 16,8,14,14,3,99999999999")
+      "TOOL --shard 1/x" "TOOL --layer 16,8,14,14,3,99999999999"
+      "TOOL --area-budget abc" "TOOL --area-budget 0"
+      "TOOL --area-budget 12x" "TOOL --area-budget -5"
+      "TOOL --area-budget nan")
 endif()
 
 execute_process(
@@ -97,9 +100,10 @@ if(NOT ERR MATCHES "unknown option")
 endif()
 
 # Numeric flag values are parsed strictly (tools/NumericFlag.h): a value
-# that is not one whole in-range integer exits 2 naming the flag before
-# any work starts. The timeout keeps a regression that accepts a bad
-# --port from leaving a daemon running.
+# that is not one whole in-range integer (for --area-budget, one finite
+# positive number) exits 2 naming the flag before any work starts. The
+# timeout keeps a regression that accepts a bad --port from leaving a
+# daemon running.
 foreach(CASE ${BAD_NUMBERS})
   separate_arguments(ARGS UNIX_COMMAND "${CASE}")
   list(POP_FRONT ARGS WHICH)

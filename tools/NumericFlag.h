@@ -5,12 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one parser behind every integer-valued flag of thistle-opt,
-/// thistle-serve and thistle-query. A value is accepted only when the
-/// whole token is a base-10 integer inside the flag's range; anything
-/// else (`abc`, `4x`, ` 4`, `+4`, an overflowing `99999999999`, an
+/// The parsers behind every numeric flag of thistle-opt, thistle-serve
+/// and thistle-query. An integer value is accepted only when the whole
+/// token is a base-10 integer inside the flag's range; anything else
+/// (`abc`, `4x`, ` 4`, `+4`, an overflowing `99999999999`, an
 /// out-of-range `0`) is rejected before any work starts, with exit code
-/// 2 and a diagnostic naming the flag.
+/// 2 and a diagnostic naming the flag. Real-valued flags
+/// (`--area-budget`) take one whole decimal number that is finite and
+/// positive, under the same rules.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +20,7 @@
 #define THISTLE_TOOLS_NUMERICFLAG_H
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
@@ -54,6 +57,25 @@ inline long long parseIntFlag(const char *Flag, const char *Text,
   if (!parseIntToken(Text, Min, Max, Value)) {
     std::fprintf(stderr, "error: %s wants an integer in %lld..%lld, got '%s'\n",
                  Flag, Min, Max, Text);
+    std::exit(2);
+  }
+  return Value;
+}
+
+/// The value of real-valued flag \p Flag given as \p Text: exactly one
+/// decimal number (`3.5`, `2e6`) that is finite and positive. Exits 2
+/// with "error: <flag> wants a finite positive number, got '<text>'"
+/// otherwise.
+inline double parsePositiveFlag(const char *Flag, const char *Text) {
+  double Value = 0.0;
+  const std::string_view Token = Text;
+  const char *End = Token.data() + Token.size();
+  auto [Ptr, Ec] = std::from_chars(Token.data(), End, Value);
+  if (Ec != std::errc() || Ptr != End || !std::isfinite(Value) ||
+      Value <= 0.0) {
+    std::fprintf(stderr,
+                 "error: %s wants a finite positive number, got '%s'\n",
+                 Flag, Text);
     std::exit(2);
   }
   return Value;

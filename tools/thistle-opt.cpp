@@ -139,7 +139,7 @@ const FlagSpec ArchitectureFlags[] = {
     {"--pes", "N", "PE count (default: Eyeriss, 168)"},
     {"--regs", "N", "register words per PE (default: 512)"},
     {"--sram-words", "N", "shared SRAM words (default: 65536)"},
-    {"--area-budget", "UM2", "co-design area (default: Eyeriss)"},
+    {"--area-budget", "UM2", "co-design area, > 0 (default: Eyeriss)"},
 };
 
 const FlagSpec PersistenceFlags[] = {
@@ -244,9 +244,6 @@ void printUsage(const char *Prog) {
       "  2  invalid input (bad flags, malformed hierarchy file, bad spec)\n"
       "  3  no feasible design found (--network: for any layer)\n");
 }
-
-/// Ceiling of --candidates: the rounding width per GP variable.
-constexpr long long MaxCandidates = 64;
 
 /// Parses "a,b,c,..." into non-negative integers; returns false on
 /// malformed or out-of-range input.
@@ -812,8 +809,8 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (Arg == "--candidates") {
-      Options.Rounding.NumCandidates = static_cast<unsigned>(
-          parseIntFlag("--candidates", needValue(), 1, MaxCandidates));
+      Options.Rounding.NumCandidates = static_cast<unsigned>(parseIntFlag(
+          "--candidates", needValue(), 1, MaxRoundingCandidates));
     } else if (Arg == "--threads") {
       Options.Threads = static_cast<unsigned>(
           parseIntFlag("--threads", needValue(), 0, MaxThreads));
@@ -833,7 +830,7 @@ int main(int Argc, char **Argv) {
       Arch.SramWords =
           parseIntFlag("--sram-words", needValue(), 1, MaxFlagCount);
     } else if (Arg == "--area-budget") {
-      AreaBudget = std::atof(needValue());
+      AreaBudget = parsePositiveFlag("--area-budget", needValue());
     } else if (Arg == "--cache-dir" || Arg == "--resume") {
       PC.Dir = needValue();
       if (PC.Dir.empty()) {
