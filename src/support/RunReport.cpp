@@ -143,7 +143,7 @@ void emitSweep(Writer &W, const RunReport &R) {
   W.endObject();
 }
 
-/// Canonical projections drop the three cache traffic counters: hot
+/// Canonical projections drop the two cache traffic counters: hot
 /// replay answers the same query with hits where the cold run counted
 /// misses, and the whole point of the projection is that those runs
 /// compare byte-equal.
@@ -167,8 +167,6 @@ void emitNetwork(Writer &W, const RunReportNetwork &N, bool Canonical) {
     W.value(N.CacheHits);
     W.key("cache_misses");
     W.value(N.CacheMisses);
-    W.key("cache_warm_starts");
-    W.value(N.CacheWarmStarts);
   }
   W.key("arch_candidates");
   W.value(N.ArchCandidates);
@@ -279,8 +277,6 @@ void emitServe(Writer &W, const RunReportServe &S) {
   W.value(S.CacheHits);
   W.key("cache_misses");
   W.value(S.CacheMisses);
-  W.key("cache_warm_starts");
-  W.value(S.CacheWarmStarts);
   W.key("cache_evictions");
   W.value(S.CacheEvictions);
   W.key("compactions");

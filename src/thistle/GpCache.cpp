@@ -35,8 +35,12 @@ void appendIndices(std::string &Out, const std::vector<unsigned> &V) {
   Out += ',';
 }
 
-/// The on-disk kind tag shared by cache snapshots and journals.
-constexpr const char *CacheKind = "gpcache";
+/// The on-disk kind tag shared by cache snapshots and journals. The
+/// "gpcache" artifacts of earlier versions are refused at the header:
+/// their entries also stored a structural key and the GP optimum, and
+/// may record outcomes of the removed warm-start rescue, which a cold
+/// solve need not reproduce.
+constexpr const char *CacheKind = "gpcache2";
 
 void putPerm(Encoder &E, const std::vector<unsigned> &Perm) {
   E.putU64(Perm.size());
@@ -55,14 +59,12 @@ bool getPerm(Decoder &D, std::vector<unsigned> &Perm) {
   return true;
 }
 
-/// One exact-tier entry, keys included, as a self-contained payload.
-/// The same encoding serves whole-cache snapshots (concatenated
-/// entries) and journals (one entry per record).
-std::string encodeEntry(const std::string &Key, const std::string &WarmKey,
-                        const GpCacheEntry &Entry) {
+/// One entry, key included, as a self-contained payload. The same
+/// encoding serves whole-cache snapshots (concatenated entries) and
+/// journals (one entry per record).
+std::string encodeEntry(const std::string &Key, const GpCacheEntry &Entry) {
   Encoder E;
   E.putString(Key);
-  E.putString(WarmKey);
   E.putU32(static_cast<std::uint32_t>(Entry.Outcome));
   E.putU32(Entry.Attempts);
   E.putString(Entry.Detail);
@@ -110,16 +112,12 @@ std::string encodeEntry(const std::string &Key, const std::string &WarmKey,
 
   E.putDouble(Entry.Obj);
   E.putDouble(Entry.ModelObjective);
-  E.putU64(Entry.Optimum.size());
-  for (double V : Entry.Optimum)
-    E.putDouble(V);
   return E.takeBytes();
 }
 
-bool decodeEntry(Decoder &D, std::string &Key, std::string &WarmKey,
-                 GpCacheEntry &Entry) {
+bool decodeEntry(Decoder &D, std::string &Key, GpCacheEntry &Entry) {
   std::uint32_t Outcome;
-  if (!D.getString(Key) || !D.getString(WarmKey) || !D.getU32(Outcome) ||
+  if (!D.getString(Key) || !D.getU32(Outcome) ||
       Outcome > static_cast<std::uint32_t>(TaskOutcome::Skipped))
     return false;
   Entry.Outcome = static_cast<TaskOutcome>(Outcome);
@@ -167,16 +165,7 @@ bool decodeEntry(Decoder &D, std::string &Key, std::string &WarmKey,
       !D.getI64(R.Eval.Profile.PEsUsed) || !D.getU64(Tried))
     return false;
   R.CandidatesTried = static_cast<std::size_t>(Tried);
-
-  std::uint64_t Dims;
-  if (!D.getDouble(Entry.Obj) || !D.getDouble(Entry.ModelObjective) ||
-      !D.getU64(Dims) || Dims > D.remaining() / 8)
-    return false;
-  Entry.Optimum.resize(static_cast<std::size_t>(Dims));
-  for (double &V : Entry.Optimum)
-    if (!D.getDouble(V))
-      return false;
-  return true;
+  return D.getDouble(Entry.Obj) && D.getDouble(Entry.ModelObjective);
 }
 
 bool endsWith(const std::string &S, const char *Suffix) {
@@ -191,11 +180,11 @@ thistle::gpCacheKeyMaterial(const Problem &Prob, const ThistleOptions &Options,
                             const ArchConfig &Arch, const TechParams &Tech,
                             double AreaBudgetUm2,
                             const std::vector<unsigned> &TiledIters) {
-  // Structural part, shared by both keys: iterator names, tensor
-  // skeleton (which iterators project into which dimension) and the
-  // mode/objective/options that shape the generated program. The
-  // problem *name* is excluded on purpose: identically shaped layers of
-  // different networks must share entries.
+  // Structural part: iterator names, tensor skeleton (which iterators
+  // project into which dimension) and the mode/objective/options that
+  // shape the generated program. The problem *name* is excluded on
+  // purpose: identically shaped layers of different networks must share
+  // entries.
   GpCacheKeyMaterial M;
   std::string &S = M.Structure;
   S += "it:";
@@ -227,9 +216,9 @@ thistle::gpCacheKeyMaterial(const Problem &Prob, const ThistleOptions &Options,
   S += "tiled:";
   appendIndices(S, TiledIters);
 
-  // Numeric part, exact key only: extents, projection strides, the
-  // architecture/technology constants and every option that changes the
-  // solve or rounding trajectory.
+  // Numeric part, after the permutations: extents, projection strides,
+  // the architecture/technology constants and every option that changes
+  // the solve or rounding trajectory.
   std::string &N = M.Numbers;
   N = "|ext:";
   for (const Iterator &It : Prob.iterators())
@@ -272,28 +261,26 @@ thistle::gpCacheKeyMaterial(const Problem &Prob, const ThistleOptions &Options,
   return M;
 }
 
-GpCacheKeys thistle::gpCacheKeys(const GpCacheKeyMaterial &Material,
-                                 const std::vector<unsigned> &PePerm,
-                                 const std::vector<unsigned> &DramPerm) {
-  GpCacheKeys Keys;
-  std::string &W = Keys.Warm;
-  W.reserve(Material.Structure.size() + 8 +
-            4 * (PePerm.size() + DramPerm.size()));
-  W = Material.Structure;
-  W += "q:";
-  appendIndices(W, PePerm);
-  W += "s:";
-  appendIndices(W, DramPerm);
-  Keys.Exact = W + Material.Numbers;
-  return Keys;
+std::string thistle::gpCacheKey(const GpCacheKeyMaterial &Material,
+                                const std::vector<unsigned> &PePerm,
+                                const std::vector<unsigned> &DramPerm) {
+  std::string Key;
+  Key.reserve(Material.Structure.size() + Material.Numbers.size() + 8 +
+              4 * (PePerm.size() + DramPerm.size()));
+  Key = Material.Structure;
+  Key += "q:";
+  appendIndices(Key, PePerm);
+  Key += "s:";
+  appendIndices(Key, DramPerm);
+  Key += Material.Numbers;
+  return Key;
 }
 
-bool GpSolutionCache::lookupExact(const std::string &Key,
-                                  GpCacheEntry &Out) {
+bool GpSolutionCache::lookup(const std::string &Key, GpCacheEntry &Out) {
   {
     std::lock_guard<std::mutex> Lock(Mutex);
-    auto It = Exact.find(Key);
-    if (It != Exact.end()) {
+    auto It = Entries.find(Key);
+    if (It != Entries.end()) {
       Out = It->second.Entry;
       Recency.splice(Recency.begin(), Recency, It->second.Where);
       Hits.fetch_add(1, std::memory_order_relaxed);
@@ -304,33 +291,16 @@ bool GpSolutionCache::lookupExact(const std::string &Key,
   return false;
 }
 
-void GpSolutionCache::feedWarmPendingLocked(
-    const std::string &Key, const std::string &WarmKey,
-    const std::vector<double> &Optimum) {
-  if (Optimum.empty())
-    return;
-  WarmSlot &Slot = Warm[WarmKey];
-  // Deterministic pending winner: smallest exact key, not first
-  // arrival — parallel fill order must not leak into later phases.
-  if (!Slot.HasPending || Key < Slot.PendingSource) {
-    Slot.HasPending = true;
-    Slot.PendingSource = Key;
-    Slot.Pending = Optimum;
-  }
-}
-
-bool GpSolutionCache::insertExactLocked(const std::string &Key,
-                                        const std::string &WarmKey,
-                                        GpCacheEntry Entry) {
-  auto [It, Inserted] = Exact.try_emplace(Key);
+bool GpSolutionCache::insertLocked(const std::string &Key,
+                                   GpCacheEntry Entry) {
+  auto [It, Inserted] = Entries.try_emplace(Key);
   if (!Inserted)
     return false; // Existing entries win (they are identical by key).
   Recency.push_front(Key);
   It->second.Entry = std::move(Entry);
-  It->second.WarmKey = WarmKey;
   It->second.Where = Recency.begin();
-  while (MaxEntries != 0 && Exact.size() > MaxEntries) {
-    Exact.erase(Recency.back());
+  while (MaxEntries != 0 && Entries.size() > MaxEntries) {
+    Entries.erase(Recency.back());
     Recency.pop_back();
     Evictions.fetch_add(1, std::memory_order_relaxed);
     telemetry::count("thistle.cache.evictions");
@@ -338,59 +308,22 @@ bool GpSolutionCache::insertExactLocked(const std::string &Key,
   return true;
 }
 
-void GpSolutionCache::insert(const std::string &Key,
-                             const std::string &WarmKey,
-                             GpCacheEntry Entry) {
+void GpSolutionCache::insert(const std::string &Key, GpCacheEntry Entry) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  feedWarmPendingLocked(Key, WarmKey, Entry.Optimum);
   // Journal before the move; only genuinely new entries are appended
   // (a dropped append is counted, never fails the insert — the entry
   // just re-solves after a crash).
-  if (Journal.isOpen() && Exact.find(Key) == Exact.end() &&
-      !Journal.append(encodeEntry(Key, WarmKey, Entry)))
+  if (Journal.isOpen() && Entries.find(Key) == Entries.end() &&
+      !Journal.append(encodeEntry(Key, Entry)))
     JournalFailures.fetch_add(1, std::memory_order_relaxed);
-  insertExactLocked(Key, WarmKey, std::move(Entry));
-}
-
-void GpSolutionCache::feedWarmPending(const std::string &Key,
-                                      const std::string &WarmKey,
-                                      const std::vector<double> &Optimum) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  feedWarmPendingLocked(Key, WarmKey, Optimum);
-}
-
-bool GpSolutionCache::lookupWarm(const std::string &WarmKey,
-                                 std::vector<double> &Out) const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  auto It = Warm.find(WarmKey);
-  if (It == Warm.end() || !It->second.HasFrozen)
-    return false;
-  Out = It->second.Frozen;
-  return true;
-}
-
-void GpSolutionCache::noteWarmStart() {
-  WarmStarts.fetch_add(1, std::memory_order_relaxed);
-}
-
-void GpSolutionCache::beginGeneration() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  for (auto &[Key, Slot] : Warm) {
-    if (!Slot.HasPending)
-      continue;
-    Slot.HasFrozen = true;
-    Slot.Frozen = std::move(Slot.Pending);
-    Slot.HasPending = false;
-    Slot.PendingSource.clear();
-    Slot.Pending.clear();
-  }
+  insertLocked(Key, std::move(Entry));
 }
 
 void GpSolutionCache::setCapacity(std::size_t Max) {
   std::lock_guard<std::mutex> Lock(Mutex);
   MaxEntries = Max;
-  while (MaxEntries != 0 && Exact.size() > MaxEntries) {
-    Exact.erase(Recency.back());
+  while (MaxEntries != 0 && Entries.size() > MaxEntries) {
+    Entries.erase(Recency.back());
     Recency.pop_back();
     Evictions.fetch_add(1, std::memory_order_relaxed);
     telemetry::count("thistle.cache.evictions");
@@ -409,9 +342,8 @@ Status GpSolutionCache::saveSnapshotFile(const std::string &Path) const {
     // LRU-first: a sequential reload push-fronts each entry, so the
     // last one written (the MRU) ends up back at the front.
     for (auto It = Recency.rbegin(); It != Recency.rend(); ++It) {
-      const ExactSlot &Slot = Exact.at(*It);
       Encoder E;
-      E.putString(encodeEntry(*It, Slot.WarmKey, Slot.Entry));
+      E.putString(encodeEntry(*It, Entries.at(*It).Entry));
       Payload += E.takeBytes();
     }
   }
@@ -426,12 +358,12 @@ void GpSolutionCache::loadFile(const std::string &Path,
   };
   auto loadOne = [&](std::string_view Bytes) {
     Decoder D(Bytes);
-    std::string Key, WarmKey;
+    std::string Key;
     GpCacheEntry Entry;
-    if (!decodeEntry(D, Key, WarmKey, Entry) || !D.atEnd())
+    if (!decodeEntry(D, Key, Entry) || !D.atEnd())
       return false;
     std::lock_guard<std::mutex> Lock(Mutex);
-    if (insertExactLocked(Key, WarmKey, std::move(Entry)))
+    if (insertLocked(Key, std::move(Entry)))
       ++Stats.EntriesLoaded;
     return true;
   };
@@ -495,12 +427,11 @@ void GpSolutionCache::detachJournal() {
 
 std::size_t GpSolutionCache::size() const {
   std::lock_guard<std::mutex> Lock(Mutex);
-  return Exact.size();
+  return Entries.size();
 }
 
 void GpSolutionCache::clear() {
   std::lock_guard<std::mutex> Lock(Mutex);
-  Exact.clear();
+  Entries.clear();
   Recency.clear();
-  Warm.clear();
 }

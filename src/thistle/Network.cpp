@@ -203,8 +203,6 @@ NetworkResult thistle::optimizeNetwork(const std::vector<ConvLayer> &Layers,
         Ctx.SpanIndexBase = SpanBase + Cell * PhaseTasks + Offsets[S];
         Ctxs.push_back(std::move(Ctx));
       }
-    if (Options.Cache)
-      Options.Cache->beginGeneration();
     return parallelReduce(
         Pool, Cells * PhaseTasks,
         PhaseAccumulator(Cells * Shapes.size()),
@@ -233,7 +231,6 @@ NetworkResult thistle::optimizeNetwork(const std::vector<ConvLayer> &Layers,
       SweepAccumulator &Cur = Acc[Cell * Shapes.size() + S];
       Result.Stats.CacheHits += Cur.CacheHits;
       Result.Stats.CacheMisses += Cur.CacheMisses;
-      Result.Stats.CacheWarmStarts += Cur.CacheWarmStarts;
       finishLayerResult(Plans[S], std::move(Cur), ShapeResults[S]);
       Result.Report.merge(SweepReport(ShapeResults[S].Report));
     }

@@ -15,8 +15,8 @@
 /// (objective, layer, QI, SI) reduction as the single-layer sweep, so
 /// results are bit-identical at every thread count. An optional
 /// GpSolutionCache (thistle/GpCache.h) carries solutions across runs:
-/// exact hits replay without solving, near misses warm-start the
-/// barrier method when a cold solve fails.
+/// a hit replays the recorded outcome without solving, so a cached run
+/// is bit-identical to a cold one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -105,7 +105,7 @@ struct NetworkStats {
   unsigned ArchCandidates = 0;
   /// This run's cache traffic (0 when no cache was supplied). The
   /// cache's own counters aggregate across runs instead.
-  std::uint64_t CacheHits = 0, CacheMisses = 0, CacheWarmStarts = 0;
+  std::uint64_t CacheHits = 0, CacheMisses = 0;
 };
 
 /// One scored architecture candidate of the CoDesign selection phase.

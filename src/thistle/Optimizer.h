@@ -89,7 +89,7 @@ struct ThistleStats {
   /// This sweep's GP-cache traffic (all zero without a shared cache).
   /// Per-run deltas, like NetworkStats' counters — the cache's own
   /// counters aggregate across runs instead.
-  std::uint64_t CacheHits = 0, CacheMisses = 0, CacheWarmStarts = 0;
+  std::uint64_t CacheHits = 0, CacheMisses = 0;
 };
 
 /// The best design found for one layer.
@@ -119,10 +119,10 @@ struct ThistleResult {
 /// behavior exactly: no cache, a private pool sized by
 /// ThistleOptions::Threads.
 struct LayerRunContext {
-  /// Shared GP solution cache; exact hits replay bit-identically and
-  /// structural near-misses warm-start failed solves (thistle/GpCache.h).
-  /// The caller must serialize runs sharing one cache — the warm tier's
-  /// generation freeze is per-cache state.
+  /// Shared GP solution cache; hits replay bit-identically
+  /// (thistle/GpCache.h), so the answer never depends on what earlier
+  /// runs put in it. Runs sharing one cache may overlap, but then the
+  /// cache traffic in each run's stats depends on their interleaving.
   GpSolutionCache *Cache = nullptr;
   /// External worker pool for the pair sweep; when set,
   /// ThistleOptions::Threads is ignored. Results are bit-identical at

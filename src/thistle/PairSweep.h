@@ -8,9 +8,9 @@
 /// The perm-class pair sweep factored out of optimizeLayer so the
 /// network driver (thistle/Network.cpp) can fan the tasks of many layers
 /// into one global grid: the fixed sweep plan (enumeration, symmetry
-/// pruning, pair cap), the per-task solve chain (build -> retry-ladder
-/// solve -> halo fallback -> optional cached warm-start recovery ->
-/// extract -> round), the deterministic shard accumulator, and the
+/// pruning, pair cap), the per-task solve chain (cache lookup, or build
+/// -> retry-ladder solve -> halo fallback -> extract -> round), the
+/// deterministic shard accumulator, and the
 /// result assembly. optimizeLayer is a thin wrapper around these pieces;
 /// their behavior on a single layer is bit-identical to the
 /// pre-refactoring implementation.
@@ -72,7 +72,7 @@ struct SweepAccumulator {
   unsigned NewtonIterations = 0;
   unsigned GpInfeasible = 0;
   std::size_t CandidatesEvaluated = 0;
-  std::uint64_t CacheHits = 0, CacheMisses = 0, CacheWarmStarts = 0;
+  std::uint64_t CacheHits = 0, CacheMisses = 0;
   SweepReport Report;
 };
 

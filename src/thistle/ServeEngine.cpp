@@ -81,7 +81,7 @@ struct ServeEngine::SolveJob {
   /// because solves are serialized on one thread). Attributed to the
   /// admitting request only; dedup joiners report zeros, so the sum
   /// across all responses equals the process totals.
-  std::uint64_t DHits = 0, DMisses = 0, DWarm = 0, DEvict = 0;
+  std::uint64_t DHits = 0, DMisses = 0, DEvict = 0;
 };
 
 namespace {
@@ -335,7 +335,7 @@ struct ServerSection {
   bool Deduplicated = false;
   std::size_t QueueDepth = 0;
   double LatencyMs = 0.0;
-  std::uint64_t Hits = 0, Misses = 0, WarmStarts = 0, Evictions = 0;
+  std::uint64_t Hits = 0, Misses = 0, Evictions = 0;
 };
 
 void writeServerSection(json::Writer &W, const ServerSection &S) {
@@ -353,8 +353,6 @@ void writeServerSection(json::Writer &W, const ServerSection &S) {
   W.value(S.Hits);
   W.key("miss");
   W.value(S.Misses);
-  W.key("warmstart");
-  W.value(S.WarmStarts);
   W.key("evictions");
   W.value(S.Evictions);
   W.endObject();
@@ -494,7 +492,6 @@ ServeStats ServeEngine::stats() const {
   S.Solves = Solves.load();
   S.CacheHits = Cache.hits();
   S.CacheMisses = Cache.misses();
-  S.CacheWarmStarts = Cache.warmStarts();
   S.CacheEvictions = Cache.evictions();
   S.Compactions = Compactions.load();
   return S;
@@ -510,7 +507,6 @@ void ServeEngine::fillReport(RunReport &RR) const {
   RR.Serve.Solves = S.Solves;
   RR.Serve.CacheHits = S.CacheHits;
   RR.Serve.CacheMisses = S.CacheMisses;
-  RR.Serve.CacheWarmStarts = S.CacheWarmStarts;
   RR.Serve.CacheEvictions = S.CacheEvictions;
   RR.Serve.Compactions = S.Compactions;
   if (Persist) {
@@ -573,8 +569,8 @@ void ServeEngine::solverLoop() {
 }
 
 void ServeEngine::runJob(SolveJob &Job) {
-  const std::uint64_t H0 = Cache.hits(), M0 = Cache.misses();
-  const std::uint64_t W0 = Cache.warmStarts(), E0 = Cache.evictions();
+  const std::uint64_t H0 = Cache.hits(), M0 = Cache.misses(),
+                      E0 = Cache.evictions();
 
   ThistleOptions Opt;
   Opt.Mode = Job.Mode;
@@ -643,7 +639,6 @@ void ServeEngine::runJob(SolveJob &Job) {
       RR.Network.CacheEnabled = true;
       RR.Network.CacheHits = R.Stats.CacheHits;
       RR.Network.CacheMisses = R.Stats.CacheMisses;
-      RR.Network.CacheWarmStarts = R.Stats.CacheWarmStarts;
       RR.Network.ArchCandidates = R.Stats.ArchCandidates;
       RR.Network.SummedObjective = R.Totals.SummedObjective;
       RR.Network.TotalEnergyPj = R.Totals.EnergyPj;
@@ -684,7 +679,6 @@ void ServeEngine::runJob(SolveJob &Job) {
   Job.ExitCode = Exit;
   Job.DHits = Cache.hits() - H0;
   Job.DMisses = Cache.misses() - M0;
-  Job.DWarm = Cache.warmStarts() - W0;
   Job.DEvict = Cache.evictions() - E0;
 }
 
@@ -741,8 +735,6 @@ std::string ServeEngine::handleLine(const std::string &Line) {
       W.value(St.CacheHits);
       W.key("cache_misses");
       W.value(St.CacheMisses);
-      W.key("cache_warm_starts");
-      W.value(St.CacheWarmStarts);
       W.key("cache_evictions");
       W.value(St.CacheEvictions);
       W.key("compactions");
@@ -824,7 +816,6 @@ std::string ServeEngine::handleLine(const std::string &Line) {
     // process totals (the stats-vs-report consistency contract).
     S.Hits = Job->DHits;
     S.Misses = Job->DMisses;
-    S.WarmStarts = Job->DWarm;
     S.Evictions = Job->DEvict;
   }
   S.LatencyMs = latency();

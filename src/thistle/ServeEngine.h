@@ -11,18 +11,16 @@
 /// validates them, deduplicates identical in-flight queries onto one
 /// solve, and blocks until the answer is ready. One dedicated solver
 /// thread drains the FIFO admission queue over a shared durable
-/// GpSolutionCache and a shared ThreadPool — serializing solves is what
-/// keeps the cache's warm-tier generation discipline (and therefore the
-/// bit-identity guarantee) intact while still using every core *within*
-/// a solve.
+/// GpSolutionCache and a shared ThreadPool, using every core *within* a
+/// solve. Serializing solves is what keeps each response's cache
+/// deltas (the `server.cache` trailer) exact: no other solve touches
+/// the cache's counters between a job's before and after reads.
 ///
 /// The headline invariant: the same query returns a byte-identical
-/// `report` whether the cache is cold, hot, reloaded from disk, or the
-/// query raced with identical concurrent requests. It follows from the
-/// exact-tier replay invariant of GpSolutionCache plus the single
-/// solver thread; the one caveat (warm-start recovery can only improve
-/// queries whose cold solve failed) is inherited from the cache and
-/// documented in docs/SERVING.md.
+/// `report` whether the cache is cold, hot, reloaded from disk, filled
+/// by any earlier queries, or the query raced with identical
+/// concurrent requests. It follows from the replay invariant of
+/// GpSolutionCache: a hit reproduces the cold solve bit-for-bit.
 ///
 /// Durable state follows thistle-opt's lifecycle: start() loads
 /// `gpcache.snap` + `gpcache.journal` from the cache directory and
@@ -58,7 +56,7 @@ struct ServeOptions {
   /// --cache-dir`, so a sweep's results serve a later daemon and vice
   /// versa.
   std::string CacheDir;
-  /// In-memory LRU bound on the exact tier (0 = unbounded).
+  /// In-memory LRU bound on the cache (0 = unbounded).
   std::uint64_t CacheCapacity = 0;
   /// Shared worker-pool size for the solves (0 = one per hardware
   /// thread). Results are bit-identical at any size.
@@ -77,7 +75,7 @@ struct ServeStats {
   std::uint64_t Errors = 0;
   std::uint64_t Deduplicated = 0;
   std::uint64_t Solves = 0;
-  std::uint64_t CacheHits = 0, CacheMisses = 0, CacheWarmStarts = 0;
+  std::uint64_t CacheHits = 0, CacheMisses = 0;
   std::uint64_t CacheEvictions = 0;
   std::uint64_t Compactions = 0;
 };

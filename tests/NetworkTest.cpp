@@ -178,8 +178,8 @@ TEST(Network, ThreadCountDoesNotChangeResults) {
   ASSERT_TRUE(R8.Found);
   expectIdentical(R1, R8);
 
-  // And with a shared cache at 8 threads: the frozen-generation warm
-  // tier keeps parallel fills deterministic.
+  // And with a shared cache at 8 threads: a hit replays what the cold
+  // solve computed, whatever order the parallel tasks fill it in.
   GpSolutionCache Cache;
   Eight.Cache = &Cache;
   NetworkResult RC = optimizeNetwork(toyNetwork(), eyerissArch(),
@@ -538,17 +538,17 @@ void fnv1a(std::uint64_t &H, std::string_view Bytes) {
 } // namespace
 
 TEST(GpCacheKeys, KeyBytesAndSweepPlansArePinned) {
-  // The exact and warm key text is part of the durable cache format
+  // The key text is part of the durable cache format
   // (docs/PERSISTENCE.md): snapshots and journals store it, so one
   // changed byte turns every stored entry into a miss. This hashes the
-  // plan counts and both keys of every pair task of the four layer
+  // plan counts and the key of every pair task of the four layer
   // tables, in both modes and all three objectives, as phase 1 of the
   // network driver would key them.
   const TechParams Tech = TechParams::cgo45nm();
   const ArchConfig Arch = eyerissArch();
   std::uint64_t Hash = 0xcbf29ce484222325ull;
   std::size_t Tasks = 0;
-  std::string FirstExact;
+  std::string FirstKey;
   for (const std::vector<ConvLayer> &Table :
        {resnet18Layers(), yolo9000Layers(), mobilenetV2Layers(),
         dcganLayers()})
@@ -572,21 +572,21 @@ TEST(GpCacheKeys, KeyBytesAndSweepPlansArePinned) {
           const GpCacheKeyMaterial Material = gpCacheKeyMaterial(
               Prob, Options, Arch, Tech, Area, Plan.TiledIters);
           for (const PairTask &Task : Plan.Pairs) {
-            GpCacheKeys Keys =
-                gpCacheKeys(Material, Plan.Classes[Task.QI].Representative,
-                            Plan.Classes[Task.SI].Representative);
+            const std::string Key =
+                gpCacheKey(Material, Plan.Classes[Task.QI].Representative,
+                           Plan.Classes[Task.SI].Representative);
             fnv1a(Hash, std::to_string(Task.QI) + "," +
                             std::to_string(Task.SI) + "\n");
-            fnv1a(Hash, Keys.Exact + "\n" + Keys.Warm + "\n");
+            fnv1a(Hash, Key + "\n");
             if (Tasks++ == 0)
-              FirstExact = Keys.Exact;
+              FirstKey = Key;
           }
         }
       }
   EXPECT_EQ(Tasks, 10776u);
-  EXPECT_EQ(Hash, 0xec78f7a7693f40b5ull);
+  EXPECT_EQ(Hash, 0x1d95be00452ab8adull);
   // ResNet-18 layer 1, dataflow/energy, first planned pair.
-  EXPECT_EQ(FirstExact,
+  EXPECT_EQ(FirstKey,
             "it:n,k,c,r,s,h,w,"
             "|tn:Out+rw[0;][1;][5;][6;],In[0;][2;][5;3;][6;4;],"
             "Ker[1;][2;][3;][4;],"

@@ -364,8 +364,9 @@ TEST(Optimizer, StatsAgreeWithReportUnderFaults) {
         EXPECT_TRUE(R.Report.DeadlineExpired);
         EXPECT_EQ(R.Stats.PairsSolved, 0u);
       }
-      if (C.Cap < 12)
+      if (C.Cap < 12) {
         EXPECT_GT(R.Report.SkippedByPolicy, 0u);
+      }
     }
   }
 }

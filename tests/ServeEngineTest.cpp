@@ -7,8 +7,9 @@
 // The serving contracts of docs/SERVING.md, below the socket layer:
 // handleLine() responses for good, bad, and degraded requests; the
 // byte-identity of a query's report across cold cache, hot cache, a
-// disk round-trip and racing identical requests (which must collapse
-// onto one solve); and the line-JSON parser the protocol rests on.
+// disk round-trip, earlier queries and racing identical requests (which
+// must collapse onto one solve); and the line-JSON parser the protocol
+// rests on.
 //
 //===----------------------------------------------------------------------===//
 
@@ -159,7 +160,7 @@ TEST(ServeEngine, ColdHotAndReloadedAreByteIdentical) {
   }
   EXPECT_NE(Cold.find("\"status\":\"ok\""), std::string::npos) << Cold;
   EXPECT_EQ(deterministicPrefix(Cold), deterministicPrefix(Hot));
-  // The hot answer replayed from the exact tier: no misses.
+  // The hot answer replayed from the cache: no misses.
   EXPECT_GT(serverCacheCounter(Cold, "miss"), 0u);
   EXPECT_EQ(serverCacheCounter(Hot, "miss"), 0u);
   EXPECT_GT(serverCacheCounter(Hot, "hit"), 0u);
@@ -214,6 +215,39 @@ TEST(ServeEngine, ConcurrentIdenticalQueriesDedupToOneSolve) {
   // traffic; joiners report zeros, so the sum matches the totals.
   EXPECT_EQ(CounterSum, S.CacheMisses);
   Engine.shutdown();
+}
+
+TEST(ServeEngine, AnswerDoesNotDependOnEarlierQueries) {
+  // ResNet-18 layer 5 on a 4-word register file: every GP of the sweep
+  // is certified infeasible. Answering the same layer on Eyeriss first
+  // fills the cache with solved GPs of the same structure, and the
+  // answer must not change with that history.
+  const char *FourWordRegs =
+      "{\"schema\":\"thistle-serve/1\",\"id\":1,\"query\":{\"workload\":"
+      "{\"resnet\":5},\"arch\":{\"pes\":1644,\"regs\":4,"
+      "\"sram_words\":16384}}}";
+  const char *Eyeriss =
+      "{\"schema\":\"thistle-serve/1\",\"id\":2,\"query\":{\"workload\":"
+      "{\"resnet\":5}}}";
+
+  std::string Fresh;
+  {
+    ServeEngine Engine{ServeOptions{}};
+    ASSERT_TRUE(Engine.start().isOk());
+    Fresh = Engine.handleLine(FourWordRegs);
+    Engine.shutdown();
+  }
+  std::string AfterEyeriss;
+  {
+    ServeEngine Engine{ServeOptions{}};
+    ASSERT_TRUE(Engine.start().isOk());
+    std::string First = Engine.handleLine(Eyeriss);
+    EXPECT_NE(First.find("\"status\":\"ok\""), std::string::npos) << First;
+    AfterEyeriss = Engine.handleLine(FourWordRegs);
+    Engine.shutdown();
+  }
+  EXPECT_NE(Fresh.find("certified infeasible"), std::string::npos) << Fresh;
+  EXPECT_EQ(deterministicPrefix(Fresh), deterministicPrefix(AfterEyeriss));
 }
 
 TEST(ServeEngine, ExpiredDeadlineDegradesInsteadOfCrashing) {

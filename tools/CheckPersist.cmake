@@ -7,8 +7,9 @@
 #         -P CheckPersist.cmake
 #
 #  handmade: hand-written bad-magic / truncated / CRC-mismatch /
-#            torn-journal artifacts, plus the unusable-directory
-#            usage error. Needs no fault-injection build.
+#            torn-journal / earlier-format artifacts, plus the
+#            unusable-directory usage error. Needs no fault-injection
+#            build.
 #  faults:   the persist.* fault sites — failed and corrupted writes at
 #            compaction time, detected on the next load; journal append
 #            failures that degrade checkpointing but never the run.
@@ -25,8 +26,9 @@ function(strip_accounting VAR TEXT)
 endfunction()
 
 # Runs the sweep over a cache dir seeded with one damaged artifact and
-# requires: exit 0, a persist warning, the damage recorded in the run
-# report, and results identical to the no-cache baseline.
+# requires: exit 0, a persist warning (matching the optional third
+# argument, a regex), the damage recorded in the run report, and
+# results identical to the no-cache baseline.
 function(check_damaged LABEL DIR)
   execute_process(
     COMMAND ${TOOL} ${NETWORK} --cache-dir ${DIR}
@@ -38,7 +40,7 @@ function(check_damaged LABEL DIR)
     message(FATAL_ERROR
       "${LABEL}: expected exit 0, got '${CODE}'\n${OUT}\n${ERR}")
   endif()
-  if(NOT OUT MATCHES "persist: warning: ")
+  if(NOT OUT MATCHES "persist: warning: ${ARGN}")
     message(FATAL_ERROR "${LABEL}: damage not reported\n${OUT}")
   endif()
   file(READ ${DIR}/report.json JSON)
@@ -76,26 +78,49 @@ if(CHECK STREQUAL "handmade")
   set(DIR ${WORK_DIR}/persist-truncated)
   file(REMOVE_RECURSE ${DIR})
   file(WRITE ${DIR}/gpcache.snap
-    "thistle-snapshot/1 snap gpcache 100 0b45a69c\nshort")
-  check_damaged("truncated snapshot" ${DIR})
+    "thistle-snapshot/1 snap gpcache2 100 0b45a69c\nshort")
+  check_damaged("truncated snapshot" ${DIR} ".*truncated payload")
 
   # 3. A size-consistent snapshot whose payload fails the CRC (silent
   #    bit rot).
   set(DIR ${WORK_DIR}/persist-badcrc)
   file(REMOVE_RECURSE ${DIR})
   file(WRITE ${DIR}/gpcache.snap
-    "thistle-snapshot/1 snap gpcache 4 00000000\nABCD")
-  check_damaged("CRC mismatch" ${DIR})
+    "thistle-snapshot/1 snap gpcache2 4 00000000\nABCD")
+  check_damaged("CRC mismatch" ${DIR} ".*CRC mismatch")
 
   # 4. A journal with a valid header and a torn record: the (empty)
   #    intact prefix is kept, the tail reported lost.
   set(DIR ${WORK_DIR}/persist-tornjournal)
   file(REMOVE_RECURSE ${DIR})
   file(WRITE ${DIR}/gpcache.journal
-    "thistle-snapshot/1 journal gpcache\nrec 50 0123abcd\nshort")
-  check_damaged("torn journal" ${DIR})
+    "thistle-snapshot/1 journal gpcache2\nrec 50 0123abcd\nshort")
+  check_damaged("torn journal" ${DIR} ".*dropping the damaged tail")
 
-  # 5. An unusable cache directory is a usage error (exit 2), caught
+  # 5. A snapshot of the earlier "gpcache" kind, whose entries could
+  #    hold outcomes of the removed warm-start rescue: refused at the
+  #    header (the payload here passes its CRC, so the kind is the only
+  #    fault), re-solved cold, and replaced by the clean-exit snapshot,
+  #    so the next run replays everything.
+  set(DIR ${WORK_DIR}/persist-oldkind)
+  file(REMOVE_RECURSE ${DIR})
+  file(WRITE ${DIR}/gpcache.snap
+    "thistle-snapshot/1 snap gpcache 4 db1720a5\nABCD")
+  check_damaged("earlier cache kind" ${DIR}
+    ".*holds 'gpcache' state, wanted 'gpcache2'")
+  execute_process(
+    COMMAND ${TOOL} ${NETWORK} --cache-dir ${DIR}
+    OUTPUT_VARIABLE OUT
+    ERROR_VARIABLE ERR
+    RESULT_VARIABLE CODE)
+  if(NOT CODE EQUAL 0 OR NOT OUT MATCHES ", 0 misses"
+     OR OUT MATCHES "persist: warning: ")
+    message(FATAL_ERROR
+      "earlier cache kind: the rewritten directory does not replay\n"
+      "${OUT}\n${ERR}")
+  endif()
+
+  # 6. An unusable cache directory is a usage error (exit 2), caught
   #    before any solving starts.
   file(WRITE ${WORK_DIR}/persist-not-a-dir "plain file\n")
   execute_process(

@@ -330,11 +330,10 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(S.Deduplicated),
               static_cast<unsigned long long>(S.Solves),
               static_cast<unsigned long long>(S.Errors));
-  std::printf("cache: %llu hits, %llu misses, %llu warm starts, "
+  std::printf("cache: %llu hits, %llu misses, "
               "%llu evictions, %llu compactions\n",
               static_cast<unsigned long long>(S.CacheHits),
               static_cast<unsigned long long>(S.CacheMisses),
-              static_cast<unsigned long long>(S.CacheWarmStarts),
               static_cast<unsigned long long>(S.CacheEvictions),
               static_cast<unsigned long long>(S.Compactions));
 
