@@ -65,6 +65,16 @@ std::int64_t unionWords(const Tensor &T,
 
 } // namespace
 
+std::int64_t thistle::tensorBoundaryWords(
+    const Tensor &T, const std::vector<unsigned> &Perm,
+    const std::vector<std::int64_t> &Trips,
+    const std::vector<std::int64_t> &TileExtents, std::int64_t Outer) {
+  LevelWalk Walk = walkLevel(T, Perm, Trips);
+  std::int64_t Volume =
+      Walk.Multiplier * Outer * unionWords(T, TileExtents, Walk);
+  return T.ReadWrite ? 2 * Volume : Volume;
+}
+
 std::int64_t MultiProfile::boundaryWords(unsigned B) const {
   std::int64_t Sum = 0;
   for (std::int64_t W : Words[B])
@@ -105,25 +115,20 @@ MultiProfile thistle::analyzeMultiNest(const Problem &Prob,
     const Tensor &T = Prob.tensors()[TI];
     for (unsigned B = 0; B < H.numBoundaries(); ++B) {
       const unsigned WalkLevel = B + 1;
-      LevelWalk Walk =
-          walkLevel(T, Map.Perms[WalkLevel], Map.TempFactors[WalkLevel]);
-
       // Every trip count of the levels above the walked one.
-      std::int64_t M = Walk.Multiplier * OuterTrips[WalkLevel];
+      std::int64_t Outer = OuterTrips[WalkLevel];
       // Spatial contribution (see file header).
       if (WalkLevel < F) {
         for (unsigned I = 0; I < NumIters; ++I)
-          M *= Map.SpatialFactors[I];
+          Outer *= Map.SpatialFactors[I];
       } else if (WalkLevel == F) {
         for (unsigned I = 0; I < NumIters; ++I)
           if (T.usesIter(I))
-            M *= Map.SpatialFactors[I];
+            Outer *= Map.SpatialFactors[I];
       }
-
-      std::int64_t Volume = M * unionWords(T, Extents[B], Walk);
-      if (T.ReadWrite)
-        Volume *= 2;
-      Profile.Words[B][TI] = Volume;
+      Profile.Words[B][TI] =
+          tensorBoundaryWords(T, Map.Perms[WalkLevel],
+                              Map.TempFactors[WalkLevel], Extents[B], Outer);
     }
     for (unsigned Lv = 0; Lv < L; ++Lv)
       Profile.Occupancy[Lv] += T.footprintWords(Extents[Lv]);
@@ -136,6 +141,64 @@ MultiEvalResult thistle::evaluateMultiMapping(const Problem &Prob,
                                               const MultiMapping &Map) {
   return priceMultiProfile(Prob, H, analyzeMultiNest(Prob, H, Map));
 }
+
+namespace {
+
+/// Prices the boundary traffic Traffic(b), the words across boundary b as
+/// a double (0 past either end, W_{-1} = W_{L-1} = 0), into Out's energy
+/// and delay metrics, and into the per-level decomposition when
+/// \p PerLevel is set. Every operation is a sum, a product or quotient by
+/// a positive constant, or a maximum of non-negative terms, so the result
+/// is non-decreasing in each Traffic(b): less traffic never prices
+/// higher, in floating point as in exact arithmetic.
+template <typename TrafficFn>
+void priceTraffic(const Problem &Prob, const Hierarchy &H,
+                  std::int64_t PEsUsed, TrafficFn Traffic, bool PerLevel,
+                  MultiEvalResult &Out) {
+  const unsigned L = H.numLevels();
+  const double Nops = static_cast<double>(Prob.numOps());
+  auto adjacent = [&](unsigned Lv) {
+    return Traffic(static_cast<int>(Lv) - 1) + Traffic(static_cast<int>(Lv));
+  };
+
+  // Energy, Eq. 3 generalized: the MAC term (register accesses ride every
+  // operation), then each level priced over the words crossing its two
+  // adjacent boundaries. Grouping by level (not by boundary) keeps the
+  // floating-point sum identical to the fixed-depth Eq. 3 components.
+  Out.MacEnergyPj = (4.0 * H.Levels[0].AccessEnergyPj + H.MacEnergyPj) * Nops;
+  if (PerLevel)
+    Out.EnergyPerLevelPj.assign(L, 0.0);
+  double Energy = Out.MacEnergyPj;
+  for (unsigned Lv = 0; Lv < L; ++Lv) {
+    const double LevelPj = H.Levels[Lv].AccessEnergyPj * adjacent(Lv);
+    if (PerLevel)
+      Out.EnergyPerLevelPj[Lv] = LevelPj;
+    Energy += LevelPj;
+  }
+  Out.EnergyPj = Energy;
+  Out.EnergyPerMacPj = Energy / Nops;
+
+  // Delay (section V-B): compute bound plus each level's bandwidth over
+  // its adjacent boundaries; private levels have one instance per used PE.
+  Out.ComputeCycles = Nops / static_cast<double>(PEsUsed);
+  if (PerLevel)
+    Out.CyclesPerLevel.assign(L, 0.0);
+  double Cycles = Out.ComputeCycles;
+  for (unsigned Lv = 1; Lv < L; ++Lv) {
+    const double Instances =
+        Lv < H.FanoutLevel ? static_cast<double>(PEsUsed) : 1.0;
+    const double LevelCycles =
+        adjacent(Lv) / (H.Levels[Lv].Bandwidth * Instances);
+    if (PerLevel)
+      Out.CyclesPerLevel[Lv] = LevelCycles;
+    Cycles = std::max(Cycles, LevelCycles);
+  }
+  Out.Cycles = std::max(Cycles, 1.0);
+  Out.MacIpc = Nops / Out.Cycles;
+  Out.EdpPjCycles = Out.EnergyPj * Out.Cycles;
+}
+
+} // namespace
 
 MultiEvalResult thistle::priceMultiProfile(const Problem &Prob,
                                            const Hierarchy &H,
@@ -158,50 +221,27 @@ MultiEvalResult thistle::priceMultiProfile(const Problem &Prob,
   }
   Result.IllegalReason = Why.str();
 
-  const unsigned L = H.numLevels();
-  const double Nops = static_cast<double>(Prob.numOps());
-
-  // Boundary traffic, as doubles, with one-past-the-end zeros so every
-  // level sees its two adjacent boundaries (W_{-1} = W_{L-1} = 0).
   std::vector<double> W(H.numBoundaries());
   for (unsigned B = 0; B < H.numBoundaries(); ++B)
     W[B] = static_cast<double>(P.boundaryWords(B));
-  auto boundary = [&](int B) {
-    return B < 0 || B >= static_cast<int>(H.numBoundaries()) ? 0.0 : W[B];
-  };
-
-  // Energy, Eq. 3 generalized: the MAC term (register accesses ride every
-  // operation), then each level priced over the words crossing its two
-  // adjacent boundaries. Grouping by level (not by boundary) keeps the
-  // floating-point sum identical to the fixed-depth Eq. 3 components.
-  Result.MacEnergyPj =
-      (4.0 * H.Levels[0].AccessEnergyPj + H.MacEnergyPj) * Nops;
-  Result.EnergyPerLevelPj.assign(L, 0.0);
-  for (unsigned Lv = 0; Lv < L; ++Lv)
-    Result.EnergyPerLevelPj[Lv] =
-        H.Levels[Lv].AccessEnergyPj *
-        (boundary(static_cast<int>(Lv) - 1) + boundary(static_cast<int>(Lv)));
-  double Energy = Result.MacEnergyPj;
-  for (unsigned Lv = 0; Lv < L; ++Lv)
-    Energy += Result.EnergyPerLevelPj[Lv];
-  Result.EnergyPj = Energy;
-  Result.EnergyPerMacPj = Energy / Nops;
-
-  // Delay (section V-B): compute bound plus each level's bandwidth over
-  // its adjacent boundaries; private levels have one instance per used PE.
-  Result.ComputeCycles = Nops / static_cast<double>(P.PEsUsed);
-  Result.CyclesPerLevel.assign(L, 0.0);
-  double Cycles = Result.ComputeCycles;
-  for (unsigned Lv = 1; Lv < L; ++Lv) {
-    double Words =
-        boundary(static_cast<int>(Lv) - 1) + boundary(static_cast<int>(Lv));
-    double Instances =
-        Lv < H.FanoutLevel ? static_cast<double>(P.PEsUsed) : 1.0;
-    Result.CyclesPerLevel[Lv] = Words / (H.Levels[Lv].Bandwidth * Instances);
-    Cycles = std::max(Cycles, Result.CyclesPerLevel[Lv]);
-  }
-  Result.Cycles = std::max(Cycles, 1.0);
-  Result.MacIpc = Nops / Result.Cycles;
-  Result.EdpPjCycles = Result.EnergyPj * Result.Cycles;
+  priceTraffic(
+      Prob, H, P.PEsUsed,
+      [&](int B) {
+        return B < 0 || B >= static_cast<int>(W.size()) ? 0.0 : W[B];
+      },
+      /*PerLevel=*/true, Result);
   return Result;
+}
+
+MultiEvalResult thistle::outerTrafficFloor(const Problem &Prob,
+                                           const Hierarchy &H,
+                                           std::int64_t PEsUsed,
+                                           std::int64_t OuterWords) {
+  const int Outer = static_cast<int>(H.numBoundaries()) - 1;
+  const double W = static_cast<double>(OuterWords);
+  MultiEvalResult Floor;
+  priceTraffic(
+      Prob, H, PEsUsed, [&](int B) { return B == Outer ? W : 0.0; },
+      /*PerLevel=*/false, Floor);
+  return Floor;
 }

@@ -50,6 +50,20 @@ struct MultiProfile {
   std::int64_t boundaryWords(unsigned B) const;
 };
 
+/// Words of tensor \p T moved across one boundary under the counting
+/// rules above: the loops of the level above it (\p Perm outer-to-inner,
+/// trip counts \p Trips) walked inner-to-outer with hoisting, the
+/// streaming union of the level-below tile \p TileExtents, times \p Outer
+/// (the trip counts of every enclosing level and the boundary's spatial
+/// multiplier). Read-write tensors count twice. analyzeMultiNest counts
+/// every boundary with it; rounding counts the DRAM boundary with it to
+/// bound a candidate before pricing it (thistle/Rounding.h).
+std::int64_t tensorBoundaryWords(const Tensor &T,
+                                 const std::vector<unsigned> &Perm,
+                                 const std::vector<std::int64_t> &Trips,
+                                 const std::vector<std::int64_t> &TileExtents,
+                                 std::int64_t Outer);
+
 /// Analyzes \p Map on \p H (both must validate).
 MultiProfile analyzeMultiNest(const Problem &Prob, const Hierarchy &H,
                               const MultiMapping &Map);
@@ -99,6 +113,17 @@ MultiEvalResult evaluateMultiMapping(const Problem &Prob, const Hierarchy &H,
 /// agree on counts agree on energy/delay bit for bit.
 MultiEvalResult priceMultiProfile(const Problem &Prob, const Hierarchy &H,
                                   MultiProfile Profile);
+
+/// The metrics priceMultiProfile gives a profile on \p H that uses
+/// \p PEsUsed PEs and moves \p OuterWords words across the outermost
+/// boundary but nothing across any inner one. Its arithmetic is
+/// non-decreasing in every boundary's traffic, so for each profile with
+/// that PE count and outermost traffic, the returned EnergyPj, Cycles and
+/// EdpPjCycles are lower bounds on the priced ones, exactly in floating
+/// point. Legality, the profile and the per-level vectors are left empty.
+MultiEvalResult outerTrafficFloor(const Problem &Prob, const Hierarchy &H,
+                                  std::int64_t PEsUsed,
+                                  std::int64_t OuterWords);
 
 } // namespace thistle
 

@@ -336,14 +336,24 @@ Expected<std::string> persist::readSnapshotFile(const std::string &Path,
 Status JournalWriter::open(const std::string &Path,
                            const std::string &Kind) {
   close();
-  // "a" keeps existing records (the self-resume case); the header is
-  // only written when the file starts empty.
-  std::FILE *Raw = std::fopen(Path.c_str(), "ab");
+  // Keep the existing records (the self-resume case) only when the
+  // loader reads them; records appended behind a refused header or a
+  // torn tail could never be read back.
+  Expected<JournalContents> Existing = readJournalFile(Path, Kind);
+  const bool Continue = Existing.hasValue();
+  if (Continue && Existing.value().Truncated) {
+    std::error_code Ec;
+    std::filesystem::resize_file(Path, Existing.value().IntactBytes, Ec);
+    if (Ec)
+      return Status::error(StatusCode::DataLoss,
+                           "cannot cut the damaged tail of journal '" +
+                               Path + "': " + Ec.message());
+  }
+  std::FILE *Raw = std::fopen(Path.c_str(), Continue ? "ab" : "wb");
   if (!Raw)
     return Status::error(StatusCode::DataLoss,
                          "cannot open journal '" + Path + "'");
-  long End = std::ftell(Raw);
-  if (End == 0) {
+  if (!Continue) {
     const std::string Header =
         std::string(SnapshotMagic) + " journal " + Kind + "\n";
     if (std::fwrite(Header.data(), 1, Header.size(), Raw) !=
@@ -407,6 +417,7 @@ Expected<JournalContents> persist::readJournalFile(const std::string &Path,
                               "' state, wanted '" + Kind + "'");
 
   JournalContents Out;
+  Out.IntactBytes = static_cast<std::uint64_t>(std::ftell(Raw));
   // Anything wrong from here on is a torn or corrupt tail: keep the
   // intact prefix, describe the damage, and stop. A journal cut short
   // by SIGKILL is the expected shape of a crash, not a load error.
@@ -443,6 +454,7 @@ Expected<JournalContents> persist::readJournalFile(const std::string &Path,
     if (Sep != '\n')
       return tear("missing record separator");
     Out.Records.push_back(std::move(Payload));
+    Out.IntactBytes = static_cast<std::uint64_t>(std::ftell(Raw));
   }
 }
 

@@ -135,8 +135,12 @@ public:
   JournalWriter(const JournalWriter &) = delete;
   JournalWriter &operator=(const JournalWriter &) = delete;
 
-  /// Opens \p Path for appending, writing the header first when the
-  /// file is new or empty. DataLoss when the file cannot be opened.
+  /// Opens \p Path for appending where readJournalFile will find the
+  /// new records: right after the last intact record of a journal it
+  /// reads (a torn or corrupt tail is cut off first), or behind a fresh
+  /// header when the file is missing, empty or refused (another kind or
+  /// version, no header), whose content is lost to the loader anyway.
+  /// DataLoss when the file cannot be opened, cut or headed.
   Status open(const std::string &Path, const std::string &Kind);
 
   /// Appends one framed record and flushes. DataLoss on a short or
@@ -158,6 +162,9 @@ struct JournalContents {
   /// describes the damage and where the intact prefix ends.
   bool Truncated = false;
   std::string Problem;
+  /// Bytes of the header and the intact records: where the intact
+  /// prefix ends and an appender continues.
+  std::uint64_t IntactBytes = 0;
 };
 
 /// Reads every intact record of a journal. A torn/corrupt tail is not

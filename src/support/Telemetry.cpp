@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <tuple>
 
@@ -41,10 +42,11 @@ struct StatCell {
   double Max = 0.0;
 };
 
-/// Per-thread span buffer. Registered globally on first use so that
-/// snapshot() can reach buffers of pool workers; buffers outlive their
-/// threads (they are only freed at process exit) because pool workers
-/// are joined long after the sweeps that filled the buffers return.
+/// Per-thread span buffer. Owned by the global state, registered on
+/// first use so that snapshot() can reach buffers of pool workers;
+/// buffers outlive their threads (the global state frees them at process
+/// exit) because pool workers are joined long after the sweeps that
+/// filled the buffers return.
 struct ThreadBuffer {
   std::vector<Span> Spans;
   /// Indices (into Spans) of the currently open spans, innermost last.
@@ -61,7 +63,7 @@ struct GlobalState {
   std::mutex Mutex;
   std::map<std::string, CounterCell> Counters;
   std::map<std::string, StatCell> Stats;
-  std::vector<ThreadBuffer *> Buffers;
+  std::vector<std::unique_ptr<ThreadBuffer>> Buffers;
 };
 
 GlobalState &state() {
@@ -71,11 +73,10 @@ GlobalState &state() {
 
 ThreadBuffer &threadBuffer() {
   thread_local ThreadBuffer *TB = [] {
-    auto *B = new ThreadBuffer();
     GlobalState &S = state();
     std::lock_guard<std::mutex> Lock(S.Mutex);
-    S.Buffers.push_back(B);
-    return B;
+    S.Buffers.push_back(std::make_unique<ThreadBuffer>());
+    return S.Buffers.back().get();
   }();
   return *TB;
 }
@@ -181,7 +182,7 @@ Snapshot telemetry::snapshot() {
     Out.Counters.push_back({Name, Cell.Value});
   for (const auto &[Name, Cell] : S.Stats)
     Out.Stats.push_back({Name, Cell.Count, Cell.Sum, Cell.Min, Cell.Max});
-  for (const ThreadBuffer *TB : S.Buffers) {
+  for (const std::unique_ptr<ThreadBuffer> &TB : S.Buffers) {
     Out.DroppedSpans += TB->Dropped;
     Out.Spans.insert(Out.Spans.end(), TB->Spans.begin(), TB->Spans.end());
   }
@@ -205,7 +206,7 @@ void telemetry::reset() {
   S.Epoch.store(0, std::memory_order_relaxed);
   S.Counters.clear();
   S.Stats.clear();
-  for (ThreadBuffer *TB : S.Buffers) {
+  for (const std::unique_ptr<ThreadBuffer> &TB : S.Buffers) {
     TB->Spans.clear();
     TB->OpenStack.clear();
     TB->Dropped = 0;

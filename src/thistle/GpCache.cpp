@@ -35,12 +35,13 @@ void appendIndices(std::string &Out, const std::vector<unsigned> &V) {
   Out += ',';
 }
 
-/// The on-disk kind tag shared by cache snapshots and journals. The
-/// "gpcache" artifacts of earlier versions are refused at the header:
-/// their entries also stored a structural key and the GP optimum, and
-/// may record outcomes of the removed warm-start rescue, which a cold
-/// solve need not reproduce.
-constexpr const char *CacheKind = "gpcache2";
+/// The on-disk kind tag shared by cache snapshots and journals. Artifacts
+/// of earlier kinds are refused at the header: "gpcache" entries also
+/// stored a structural key and the GP optimum, and may record outcomes
+/// of the removed warm-start rescue, which a cold solve need not
+/// reproduce; "gpcache2" entries count every rounding candidate in
+/// CandidatesTried, where a cold solve now counts only the priced ones.
+constexpr const char *CacheKind = "gpcache3";
 
 void putPerm(Encoder &E, const std::vector<unsigned> &Perm) {
   E.putU64(Perm.size());

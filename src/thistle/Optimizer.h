@@ -8,12 +8,12 @@
 /// The outer loop of Thistle (paper Fig. 2): enumerate pruned tile-loop
 /// permutation classes for the per-PE and DRAM temporal levels, generate
 /// one constrained geometric program per class pair, solve it, round the
-/// real solution to integer candidates, evaluate every candidate with the
-/// nestmodel, and return the best design found. Supports the paper's two
-/// modes — dataflow optimization for a fixed architecture (Eq. 3, used in
-/// Figs. 4 and 7) and architecture-dataflow co-design under an area
-/// budget (Eq. 5, used in Figs. 5, 6 and 8) — for either the energy or
-/// the delay objective.
+/// real solution to integer candidates, price every candidate that can
+/// win with the nestmodel, and return the best design found. Supports
+/// the paper's two modes — dataflow optimization for a fixed
+/// architecture (Eq. 3, used in Figs. 4 and 7) and
+/// architecture-dataflow co-design under an area budget (Eq. 5, used in
+/// Figs. 5, 6 and 8) — for either the energy or the delay objective.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,6 +85,7 @@ struct ThistleStats {
   unsigned PairsSolved = 0;
   unsigned GpInfeasible = 0;
   unsigned NewtonIterations = 0;
+  /// Rounding candidates priced by the cost model (RoundedDesign).
   std::size_t CandidatesEvaluated = 0;
   /// This sweep's GP-cache traffic (all zero without a shared cache).
   /// Per-run deltas, like NetworkStats' counters — the cache's own

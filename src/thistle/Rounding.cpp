@@ -113,6 +113,30 @@ std::vector<ArchConfig> archCandidates(const GpBuildSpec &Spec,
 
 } // namespace
 
+TileFootprint
+thistle::tileFootprint(const Problem &Prob,
+                       const std::vector<std::int64_t> &RegTile,
+                       const std::vector<std::int64_t> &SramTile) {
+  TileFootprint F;
+  for (const Tensor &T : Prob.tensors()) {
+    F.RegWords += T.footprintWords(RegTile);
+    F.SramWords += T.footprintWords(SramTile);
+  }
+  return F;
+}
+
+std::int64_t
+thistle::dramBoundaryWords(const Problem &Prob,
+                           const std::vector<unsigned> &DramPerm,
+                           const std::vector<std::int64_t> &DramTrips,
+                           const std::vector<std::int64_t> &SramTile) {
+  std::int64_t Words = 0;
+  for (const Tensor &T : Prob.tensors())
+    Words += tensorBoundaryWords(T, DramPerm, DramTrips, SramTile,
+                                 /*Outer=*/1);
+  return Words;
+}
+
 RoundedDesign thistle::roundSolution(const Problem &Prob,
                                      const GpBuildSpec &Spec,
                                      const RealSolution &Real,
@@ -151,10 +175,13 @@ RoundedDesign thistle::roundSolution(const Problem &Prob,
   // partial assignments (a partial footprint already above every
   // candidate's capacity can never become legal).
   std::int64_t MaxReg = 0, MaxSram = 0, MaxPEs = 0;
+  // Each candidate's memory levels, as the cost model prices them.
+  std::vector<Hierarchy> ArchLevels;
   for (const ArchConfig &A : Archs) {
     MaxReg = std::max(MaxReg, A.RegWordsPerPE);
     MaxSram = std::max(MaxSram, A.SramWords);
     MaxPEs = std::max(MaxPEs, A.NumPEs);
+    ArchLevels.push_back(Hierarchy::classic3Level(A, Spec.Tech));
   }
 
   Mapping Map;
@@ -163,34 +190,53 @@ RoundedDesign thistle::roundSolution(const Problem &Prob,
   Map.PePerm = fullPermutation(Prob, Spec.PePerm);
 
   double BestObj = 0.0;
-  std::size_t Tried = 0;
+  std::size_t Considered = 0, Priced = 0;
 
   // Depth-first cross product with monotone pruning: register/SRAM
   // footprints and the spatial product only grow as iterators are
   // assigned, so a partial assignment exceeding every architecture
   // candidate can be cut immediately.
-  std::vector<std::int64_t> RegExt(NumIters, 1), SramExt(NumIters, 1);
+  std::vector<std::int64_t> RegExt(NumIters, 1), SramExt(NumIters, 1),
+      DramTrips(NumIters, 1);
   std::int64_t SpatialProduct = 1;
+  // Footprints of the current assignment; complete at the leaves.
+  TileFootprint Footprint;
 
   auto footprintsFit = [&]() {
-    std::int64_t RegWords = 0, SramWords = 0;
-    for (const Tensor &T : Prob.tensors()) {
-      RegWords += T.footprintWords(RegExt);
-      SramWords += T.footprintWords(SramExt);
-    }
-    return RegWords <= MaxReg && SramWords <= MaxSram;
+    Footprint = tileFootprint(Prob, RegExt, SramExt);
+    return Footprint.RegWords <= MaxReg && Footprint.SramWords <= MaxSram;
   };
 
+  // Every candidate that passes the PE and utilization filters counts
+  // against the cap, priced or not, so the cap stops the walk where it
+  // would without the skips. A skipped candidate cannot win: winning
+  // takes a legal design whose objective is strictly below BestObj, and
+  // the floor never exceeds the priced objective.
   auto evaluateComplete = [&]() {
-    for (const ArchConfig &Arch : Archs) {
-      if (Map.numPEsUsed() > Arch.NumPEs)
+    const std::int64_t PEsUsed = Map.numPEsUsed();
+    std::int64_t DramWords = -1; // Counted on first use, arch-independent.
+    for (std::size_t A = 0; A < Archs.size(); ++A) {
+      const ArchConfig &Arch = Archs[A];
+      if (PEsUsed > Arch.NumPEs)
         continue;
       if (Options.UtilizationThreshold > 0.0 &&
-          static_cast<double>(Map.numPEsUsed()) <
+          static_cast<double>(PEsUsed) <
               Options.UtilizationThreshold *
                   static_cast<double>(Arch.NumPEs))
         continue;
-      ++Tried;
+      ++Considered;
+      if (!Footprint.fits(Arch))
+        continue;
+      if (Best.Found) {
+        if (DramWords < 0)
+          DramWords =
+              dramBoundaryWords(Prob, Map.DramPerm, DramTrips, SramExt);
+        if (objectiveValue(
+                outerTrafficFloor(Prob, ArchLevels[A], PEsUsed, DramWords),
+                Spec.Objective) >= BestObj)
+          continue;
+      }
+      ++Priced;
       EvalResult Eval = evaluateMapping(Prob, Map, Arch, Energy, Evaluator);
       if (!Eval.Legal)
         continue;
@@ -215,7 +261,7 @@ RoundedDesign thistle::roundSolution(const Problem &Prob,
 
   // Recursive lambda via explicit stack-free recursion.
   auto recurse = [&](auto &&Self, unsigned I) -> void {
-    if (Tried >= Options.MaxMappingCandidates)
+    if (Considered >= Options.MaxMappingCandidates)
       return;
     if (I == NumIters) {
       evaluateComplete();
@@ -225,6 +271,7 @@ RoundedDesign thistle::roundSolution(const Problem &Prob,
       assignIterator(I, C);
       RegExt[I] = C.RegTile;
       SramExt[I] = C.SramTile;
+      DramTrips[I] = Map.factor(I, TileLevel::DramTemporal);
       std::int64_t SavedSpatial = SpatialProduct;
       SpatialProduct *= C.SramTile / C.PeTile;
       if (SpatialProduct <= MaxPEs && footprintsFit())
@@ -236,6 +283,6 @@ RoundedDesign thistle::roundSolution(const Problem &Prob,
   };
   recurse(recurse, 0);
 
-  Best.CandidatesTried = Tried;
+  Best.CandidatesTried = Priced;
   return Best;
 }

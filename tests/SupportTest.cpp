@@ -533,6 +533,46 @@ TEST(Persist, JournalTornTailKeepsIntactPrefix) {
   persist::removeFile(Path);
 }
 
+TEST(Persist, ReopenedJournalAppendsWhereTheReaderFindsIt) {
+  std::string Path = tmpPath("persist-reopen.log");
+  persist::removeFile(Path);
+  {
+    persist::JournalWriter W;
+    ASSERT_TRUE(W.open(Path, "unit").isOk());
+    ASSERT_TRUE(W.append("alpha").isOk());
+  }
+  // A torn tail is cut off, so the next record follows the intact one.
+  const std::string Intact = slurp(Path);
+  spit(Path, Intact + "rec 50 0123abcd\nhalf");
+  {
+    persist::JournalWriter W;
+    ASSERT_TRUE(W.open(Path, "unit").isOk());
+    ASSERT_TRUE(W.append("beta").isOk());
+  }
+  Expected<persist::JournalContents> Back =
+      persist::readJournalFile(Path, "unit");
+  ASSERT_TRUE(Back.hasValue());
+  EXPECT_FALSE(Back.value().Truncated) << Back.value().Problem;
+  ASSERT_EQ(Back.value().Records.size(), 2u);
+  EXPECT_EQ(Back.value().Records[0], "alpha");
+  EXPECT_EQ(Back.value().Records[1], "beta");
+  EXPECT_EQ(Back.value().IntactBytes, slurp(Path).size());
+
+  // A journal of another kind is refused by the reader, so the writer
+  // starts over with its own header instead of appending behind it.
+  {
+    persist::JournalWriter W;
+    ASSERT_TRUE(W.open(Path, "other").isOk());
+    ASSERT_TRUE(W.append("gamma").isOk());
+  }
+  Back = persist::readJournalFile(Path, "other");
+  ASSERT_TRUE(Back.hasValue());
+  EXPECT_FALSE(Back.value().Truncated);
+  ASSERT_EQ(Back.value().Records.size(), 1u);
+  EXPECT_EQ(Back.value().Records[0], "gamma");
+  persist::removeFile(Path);
+}
+
 #if THISTLE_FAULT_INJECTION_ENABLED
 
 TEST(Persist, FaultSitesCoverBothArtifacts) {

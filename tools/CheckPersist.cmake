@@ -12,7 +12,9 @@
 #            build.
 #  faults:   the persist.* fault sites — failed and corrupted writes at
 #            compaction time, detected on the next load; journal append
-#            failures that degrade checkpointing but never the run.
+#            failures that degrade checkpointing but never the run; and
+#            journals kept after a failed compaction that must replay
+#            although the journal they continued was refused or torn.
 
 set(NETWORK --network resnet18 --threads 2)
 
@@ -78,7 +80,7 @@ if(CHECK STREQUAL "handmade")
   set(DIR ${WORK_DIR}/persist-truncated)
   file(REMOVE_RECURSE ${DIR})
   file(WRITE ${DIR}/gpcache.snap
-    "thistle-snapshot/1 snap gpcache2 100 0b45a69c\nshort")
+    "thistle-snapshot/1 snap gpcache3 100 0b45a69c\nshort")
   check_damaged("truncated snapshot" ${DIR} ".*truncated payload")
 
   # 3. A size-consistent snapshot whose payload fails the CRC (silent
@@ -86,7 +88,7 @@ if(CHECK STREQUAL "handmade")
   set(DIR ${WORK_DIR}/persist-badcrc)
   file(REMOVE_RECURSE ${DIR})
   file(WRITE ${DIR}/gpcache.snap
-    "thistle-snapshot/1 snap gpcache2 4 00000000\nABCD")
+    "thistle-snapshot/1 snap gpcache3 4 00000000\nABCD")
   check_damaged("CRC mismatch" ${DIR} ".*CRC mismatch")
 
   # 4. A journal with a valid header and a torn record: the (empty)
@@ -94,31 +96,35 @@ if(CHECK STREQUAL "handmade")
   set(DIR ${WORK_DIR}/persist-tornjournal)
   file(REMOVE_RECURSE ${DIR})
   file(WRITE ${DIR}/gpcache.journal
-    "thistle-snapshot/1 journal gpcache2\nrec 50 0123abcd\nshort")
+    "thistle-snapshot/1 journal gpcache3\nrec 50 0123abcd\nshort")
   check_damaged("torn journal" ${DIR} ".*dropping the damaged tail")
 
-  # 5. A snapshot of the earlier "gpcache" kind, whose entries could
-  #    hold outcomes of the removed warm-start rescue: refused at the
-  #    header (the payload here passes its CRC, so the kind is the only
-  #    fault), re-solved cold, and replaced by the clean-exit snapshot,
-  #    so the next run replays everything.
-  set(DIR ${WORK_DIR}/persist-oldkind)
-  file(REMOVE_RECURSE ${DIR})
-  file(WRITE ${DIR}/gpcache.snap
-    "thistle-snapshot/1 snap gpcache 4 db1720a5\nABCD")
-  check_damaged("earlier cache kind" ${DIR}
-    ".*holds 'gpcache' state, wanted 'gpcache2'")
-  execute_process(
-    COMMAND ${TOOL} ${NETWORK} --cache-dir ${DIR}
-    OUTPUT_VARIABLE OUT
-    ERROR_VARIABLE ERR
-    RESULT_VARIABLE CODE)
-  if(NOT CODE EQUAL 0 OR NOT OUT MATCHES ", 0 misses"
-     OR OUT MATCHES "persist: warning: ")
-    message(FATAL_ERROR
-      "earlier cache kind: the rewritten directory does not replay\n"
-      "${OUT}\n${ERR}")
-  endif()
+  # 5. Snapshots of the earlier kinds: "gpcache", whose entries could
+  #    hold outcomes of the removed warm-start rescue, and "gpcache2",
+  #    whose entries count every rounding candidate where a cold solve
+  #    now counts only the priced ones. Each is refused at the header
+  #    (the payload here passes its CRC, so the kind is the only fault),
+  #    re-solved cold, and replaced by the clean-exit snapshot, so the
+  #    next run replays everything.
+  foreach(KIND gpcache gpcache2)
+    set(DIR ${WORK_DIR}/persist-oldkind-${KIND})
+    file(REMOVE_RECURSE ${DIR})
+    file(WRITE ${DIR}/gpcache.snap
+      "thistle-snapshot/1 snap ${KIND} 4 db1720a5\nABCD")
+    check_damaged("earlier cache kind ${KIND}" ${DIR}
+      ".*holds '${KIND}' state, wanted 'gpcache3'")
+    execute_process(
+      COMMAND ${TOOL} ${NETWORK} --cache-dir ${DIR}
+      OUTPUT_VARIABLE OUT
+      ERROR_VARIABLE ERR
+      RESULT_VARIABLE CODE)
+    if(NOT CODE EQUAL 0 OR NOT OUT MATCHES ", 0 misses"
+       OR OUT MATCHES "persist: warning: ")
+      message(FATAL_ERROR
+        "earlier cache kind ${KIND}: the rewritten directory does not "
+        "replay\n${OUT}\n${ERR}")
+    endif()
+  endforeach()
 
   # 6. An unusable cache directory is a usage error (exit 2), caught
   #    before any solving starts.
@@ -277,6 +283,50 @@ elseif(CHECK STREQUAL "faults")
       "append failures changed the results\n"
       "---- baseline ----\n${BASE_OUT}\n---- degraded ----\n${OUT}")
   endif()
+
+  # 5/6. A kept journal must hold records the next run can read, even
+  #      when the journal it was attached to could not be read whole:
+  #      one of an earlier kind (refused at the header) and one with a
+  #      torn tail. The clean-exit compaction fails (persist.write-fail:0)
+  #      so the journal is kept; the next run must replay every task.
+  foreach(CASE oldkind torn)
+    set(DIR ${WORK_DIR}/persist-journal-${CASE})
+    file(REMOVE_RECURSE ${DIR})
+    if(CASE STREQUAL "oldkind")
+      file(WRITE ${DIR}/gpcache.journal
+        "thistle-snapshot/1 journal gpcache2\nrec 4 db1720a5\nABCD\n")
+    else()
+      file(WRITE ${DIR}/gpcache.journal
+        "thistle-snapshot/1 journal gpcache3\nrec 50 0123abcd\nshort")
+    endif()
+    execute_process(
+      COMMAND ${CMAKE_COMMAND} -E env THISTLE_FAULT=persist.write-fail:0
+              ${TOOL} ${NETWORK} --cache-dir ${DIR}
+      OUTPUT_VARIABLE OUT
+      ERROR_VARIABLE ERR
+      RESULT_VARIABLE CODE)
+    if(NOT CODE EQUAL 0 OR NOT OUT MATCHES "persist: warning: .*journal kept")
+      message(FATAL_ERROR
+        "${CASE} journal writer run: expected exit 0 and a kept journal, "
+        "got '${CODE}'\n${OUT}\n${ERR}")
+    endif()
+    execute_process(
+      COMMAND ${TOOL} ${NETWORK} --cache-dir ${DIR}
+      OUTPUT_VARIABLE OUT
+      ERROR_VARIABLE ERR
+      RESULT_VARIABLE CODE)
+    if(NOT CODE EQUAL 0 OR NOT OUT MATCHES ", 0 misses"
+       OR OUT MATCHES "persist: warning: ")
+      message(FATAL_ERROR
+        "${CASE} journal: the kept journal does not replay\n${OUT}\n${ERR}")
+    endif()
+    strip_accounting(OUT "${OUT}")
+    if(NOT OUT STREQUAL "${BASE_OUT}")
+      message(FATAL_ERROR
+        "${CASE} journal replay changed the results\n"
+        "---- baseline ----\n${BASE_OUT}\n---- replayed ----\n${OUT}")
+    endif()
+  endforeach()
 
 else()
   message(FATAL_ERROR "unknown CHECK '${CHECK}'")
