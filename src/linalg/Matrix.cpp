@@ -1,10 +1,9 @@
 //===- linalg/Matrix.cpp - Dense linear algebra kernel --------------------===//
 //
 // The Matrix entry points run on the SIMD kernel layer (Kernels.h).
-// Reductions (apply, choleskySolve) use the kernels' fixed blocked
-// association order; element-wise sweeps (applyTransposed, multiply, the
-// Gauss-Jordan row updates) are bit-identical to the naive scalar loops
-// by construction.
+// Reductions (apply, dot) use the kernels' fixed blocked association
+// order; element-wise sweeps (multiply, the Gauss-Jordan row updates) are
+// bit-identical to the naive scalar loops by construction.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,14 +30,6 @@ Vector Matrix::apply(const Vector &V) const {
   return Out;
 }
 
-Vector Matrix::applyTransposed(const Vector &V) const {
-  assert(V.size() == NumRows && "dimension mismatch in applyTransposed");
-  Vector Out(NumCols, 0.0);
-  for (std::size_t R = 0; R < NumRows; ++R)
-    kernels::axpy(Out.data(), V[R], row(R), NumCols);
-  return Out;
-}
-
 Matrix Matrix::multiply(const Matrix &Other) const {
   assert(NumCols == Other.rows() && "dimension mismatch in multiply");
   Matrix Out(NumRows, Other.cols());
@@ -58,19 +49,6 @@ Matrix Matrix::transposed() const {
     for (std::size_t C = 0; C < NumCols; ++C)
       Out.at(C, R) = at(R, C);
   return Out;
-}
-
-bool thistle::choleskySolve(Matrix A, const Vector &B, Vector &X) {
-  assert(A.rows() == A.cols() && "Cholesky needs a square matrix");
-  assert(B.size() == A.rows() && "right-hand side dimension mismatch");
-  const std::size_t N = A.rows();
-  if (!kernels::choleskyFactor(A.data(), N))
-    return false;
-  X.assign(N, 0.0);
-  Vector Scratch(N * N);
-  kernels::choleskySubstitute(A.data(), N, B.data(), X.data(),
-                              Scratch.data());
-  return true;
 }
 
 namespace {

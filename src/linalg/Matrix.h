@@ -6,9 +6,10 @@
 ///
 /// \file
 /// Minimal dense linear algebra used by the geometric-programming solver:
-/// a row-major Matrix, Cholesky factorization for Newton systems, and a
-/// null-space computation (via Gauss-Jordan elimination) used to eliminate
-/// the monomial equality constraints of a GP in log space.
+/// a row-major Matrix and a null-space computation (via Gauss-Jordan
+/// elimination) used to eliminate the monomial equality constraints of a
+/// GP in log space. The Newton systems' Cholesky solves live in the kernel
+/// layer (linalg/Kernels.h).
 ///
 /// The problems solved here are small (tens of variables) but sit on the
 /// hot path of every co-design query, so the implementations run on the
@@ -77,9 +78,6 @@ public:
   /// Returns this * \p V.
   Vector apply(const Vector &V) const;
 
-  /// Returns this^T * \p V.
-  Vector applyTransposed(const Vector &V) const;
-
   /// Returns this * \p Other.
   Matrix multiply(const Matrix &Other) const;
 
@@ -90,12 +88,6 @@ private:
   std::size_t NumRows, NumCols;
   std::vector<double> Data;
 };
-
-/// In-place Cholesky solve of the symmetric positive-definite system
-/// A * X = B. Returns false if \p A is not (numerically) positive definite.
-///
-/// \p A is consumed (overwritten with its Cholesky factor).
-bool choleskySolve(Matrix A, const Vector &B, Vector &X);
 
 /// Computes an orthonormal-ish basis of the null space of \p A (rows are
 /// constraints) via Gauss-Jordan elimination with partial pivoting.

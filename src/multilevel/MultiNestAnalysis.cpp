@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
-#include <sstream>
+#include <string>
 #include <utility>
 
 using namespace thistle;
@@ -207,19 +207,18 @@ MultiEvalResult thistle::priceMultiProfile(const Problem &Prob,
   Result.Profile = std::move(Profile);
   const MultiProfile &P = Result.Profile;
 
-  Result.Legal = true;
-  std::ostringstream Why;
+  // Text is built only for a failed check, so a legal mapping (every
+  // candidate rounding prices) allocates nothing here.
+  std::string &Why = Result.IllegalReason;
   for (unsigned Lv = 0; Lv + 1 < H.numLevels(); ++Lv)
-    if (P.Occupancy[Lv] > H.Levels[Lv].CapacityWords) {
-      Result.Legal = false;
-      Why << H.Levels[Lv].Name << " tile " << P.Occupancy[Lv]
-          << " words > capacity " << H.Levels[Lv].CapacityWords << "; ";
-    }
-  if (P.PEsUsed > H.NumPEs) {
-    Result.Legal = false;
-    Why << "uses " << P.PEsUsed << " PEs > available " << H.NumPEs << "; ";
-  }
-  Result.IllegalReason = Why.str();
+    if (P.Occupancy[Lv] > H.Levels[Lv].CapacityWords)
+      Why += H.Levels[Lv].Name + " tile " + std::to_string(P.Occupancy[Lv]) +
+             " words > capacity " +
+             std::to_string(H.Levels[Lv].CapacityWords) + "; ";
+  if (P.PEsUsed > H.NumPEs)
+    Why += "uses " + std::to_string(P.PEsUsed) + " PEs > available " +
+           std::to_string(H.NumPEs) + "; ";
+  Result.Legal = Why.empty();
 
   std::vector<double> W(H.numBoundaries());
   for (unsigned B = 0; B < H.numBoundaries(); ++B)

@@ -15,7 +15,7 @@
 #include "multilevel/MultiNestAnalysis.h"
 #include "nestmodel/CostEvaluator.h"
 
-#include <sstream>
+#include <string>
 
 using namespace thistle;
 
@@ -29,16 +29,16 @@ EvalResult thistle::evalResultFromMulti(const Problem &Prob,
   // Legality, regenerated in the fixed-depth wording (the generic
   // evaluator names the levels after the hierarchy).
   Result.Legal = ME.Legal;
-  std::ostringstream Why;
+  std::string &Why = Result.IllegalReason;
   if (P.RegTileWords > Arch.RegWordsPerPE)
-    Why << "register tile " << P.RegTileWords << " words > capacity "
-        << Arch.RegWordsPerPE << "; ";
+    Why += "register tile " + std::to_string(P.RegTileWords) +
+           " words > capacity " + std::to_string(Arch.RegWordsPerPE) + "; ";
   if (P.SramTileWords > Arch.SramWords)
-    Why << "SRAM tile " << P.SramTileWords << " words > capacity "
-        << Arch.SramWords << "; ";
+    Why += "SRAM tile " + std::to_string(P.SramTileWords) +
+           " words > capacity " + std::to_string(Arch.SramWords) + "; ";
   if (P.PEsUsed > Arch.NumPEs)
-    Why << "uses " << P.PEsUsed << " PEs > available " << Arch.NumPEs << "; ";
-  Result.IllegalReason = Why.str();
+    Why += "uses " + std::to_string(P.PEsUsed) + " PEs > available " +
+           std::to_string(Arch.NumPEs) + "; ";
 
   // Eq. 3 components from the per-level decomposition.
   Result.MacEnergyPj = ME.MacEnergyPj;

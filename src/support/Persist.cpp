@@ -20,18 +20,27 @@ namespace {
 constexpr std::int64_t FaultKeySnapshot = 0;
 constexpr std::int64_t FaultKeyJournal = 1;
 
-const std::array<std::uint32_t, 256> &crcTable() {
-  static const std::array<std::uint32_t, 256> Table = [] {
-    std::array<std::uint32_t, 256> T{};
+/// Slice-by-8 tables: T[0][I] is the CRC register after byte I alone
+/// (the classic bytewise table), and T[K][I] is T[K-1][I] run through
+/// one more zero byte, i.e. byte I's contribution once K more bytes have
+/// followed it. Eight lookups then fold eight input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+const CrcTables &crcTables() {
+  static const CrcTables Tables = [] {
+    CrcTables T{};
     for (std::uint32_t I = 0; I < 256; ++I) {
       std::uint32_t C = I;
       for (int K = 0; K < 8; ++K)
         C = (C & 1) ? 0xEDB88320u ^ (C >> 1) : C >> 1;
-      T[I] = C;
+      T[0][I] = C;
     }
+    for (std::size_t K = 1; K < 8; ++K)
+      for (std::uint32_t I = 0; I < 256; ++I)
+        T[K][I] = (T[K - 1][I] >> 8) ^ T[0][T[K - 1][I] & 0xFFu];
     return T;
   }();
-  return Table;
+  return Tables;
 }
 
 std::string crcHex(std::uint32_t Crc) {
@@ -127,11 +136,18 @@ std::string maimPayload(std::string Payload, std::int64_t FaultKey) {
 
 std::uint32_t persist::crc32(const void *Data, std::size_t Size,
                              std::uint32_t Seed) {
-  const auto &Table = crcTable();
+  const CrcTables &T = crcTables();
   std::uint32_t C = Seed ^ 0xFFFFFFFFu;
   const unsigned char *P = static_cast<const unsigned char *>(Data);
-  for (std::size_t I = 0; I < Size; ++I)
-    C = Table[(C ^ P[I]) & 0xFFu] ^ (C >> 8);
+  // Eight bytes per step. Each byte is read on its own and the register's
+  // low byte meets the first one, as in the bytewise step, so the result
+  // does not depend on the host's byte order.
+  for (; Size >= 8; P += 8, Size -= 8)
+    C = T[7][(C ^ P[0]) & 0xFFu] ^ T[6][((C >> 8) ^ P[1]) & 0xFFu] ^
+        T[5][((C >> 16) ^ P[2]) & 0xFFu] ^ T[4][(C >> 24) ^ P[3]] ^
+        T[3][P[4]] ^ T[2][P[5]] ^ T[1][P[6]] ^ T[0][P[7]];
+  for (; Size > 0; ++P, --Size)
+    C = T[0][(C ^ *P) & 0xFFu] ^ (C >> 8);
   return C ^ 0xFFFFFFFFu;
 }
 

@@ -58,7 +58,8 @@ namespace persist {
 /// ParseError rather than guessing).
 inline constexpr const char *SnapshotMagic = "thistle-snapshot/1";
 
-/// CRC-32 (IEEE 802.3, reflected). crc32("123456789") == 0xCBF43926.
+/// CRC-32 (IEEE 802.3, reflected), eight bytes per step (slice-by-8).
+/// crc32("123456789") == 0xCBF43926.
 std::uint32_t crc32(const void *Data, std::size_t Size,
                     std::uint32_t Seed = 0);
 

@@ -339,6 +339,37 @@ TEST(NetworkPersist, SnapshotReloadReplaysBitIdentically) {
   persist::removeFile(Path);
 }
 
+TEST(NetworkPersist, SnapshotResavesByteIdentically) {
+  // Loading a snapshot and saving it again writes the same bytes: entry
+  // encoding and decoding are symmetric, and a sequential reload rebuilds
+  // the least-recently-used-first order the snapshot was written in.
+  const std::string First = ::testing::TempDir() + "/netpersist-resave1.snap";
+  const std::string Second = ::testing::TempDir() + "/netpersist-resave2.snap";
+  auto slurp = [](const std::string &Path) {
+    std::ifstream In(Path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(In),
+                       std::istreambuf_iterator<char>());
+  };
+
+  GpSolutionCache Filled;
+  ASSERT_TRUE(runToy(&Filled).Found);
+  ASSERT_GT(Filled.size(), 1u);
+  ASSERT_TRUE(Filled.saveSnapshotFile(First).isOk());
+
+  GpSolutionCache Reloaded;
+  GpCachePersistStats Stats;
+  Reloaded.loadFile(First, Stats);
+  ASSERT_EQ(Stats.DataLoss, 0u);
+  ASSERT_EQ(Stats.EntriesLoaded, Filled.size());
+  ASSERT_TRUE(Reloaded.saveSnapshotFile(Second).isOk());
+
+  const std::string Bytes = slurp(First);
+  EXPECT_FALSE(Bytes.empty());
+  EXPECT_TRUE(Bytes == slurp(Second)) << "re-saved snapshot differs";
+  persist::removeFile(First);
+  persist::removeFile(Second);
+}
+
 TEST(NetworkPersist, JournalCheckpointsReplayLikeSnapshots) {
   std::string Path = ::testing::TempDir() + "/netpersist-journal.log";
   persist::removeFile(Path);

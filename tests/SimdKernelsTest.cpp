@@ -16,7 +16,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "linalg/Kernels.h"
-#include "linalg/Matrix.h"
 #include "solver/GpProblem.h"
 #include "solver/GpSolver.h"
 
@@ -288,24 +287,6 @@ TEST(SimdKernels, BatchedCholeskyConfinesFailedLane) {
     for (std::size_t I = 0; I < N; ++I)
       EXPECT_EQ(X4[I * 4 + S], X[I]) << "lane " << S << " row " << I;
   }
-}
-
-TEST(SimdKernels, MatrixCholeskySolveAgreesWithKernel) {
-  // The Matrix-level entry point is a thin wrapper over the kernels;
-  // pin that so refactors cannot fork the two code paths numerically.
-  const std::size_t N = 9;
-  std::vector<double> Flat = spdMatrix(N, 1700);
-  Matrix A(N, N);
-  for (std::size_t I = 0; I < N; ++I)
-    for (std::size_t J = 0; J < N; ++J)
-      A.at(I, J) = Flat[I * N + J];
-  Vector B = randomVec(N, 1800), X;
-  ASSERT_TRUE(choleskySolve(A, B, X));
-  std::vector<double> AK = Flat, XK(N, 0.0), Scratch(N * N, 0.0);
-  ASSERT_TRUE(kernels::choleskySolveInPlace(AK.data(), N, B.data(),
-                                            XK.data(), Scratch.data()));
-  for (std::size_t I = 0; I < N; ++I)
-    EXPECT_EQ(X[I], XK[I]);
 }
 
 TEST(SimdKernels, GpSolveTrajectoryIsReproducible) {

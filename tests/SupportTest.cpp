@@ -357,6 +357,56 @@ TEST(Persist, Crc32KnownVectorAndChaining) {
   EXPECT_EQ(persist::crc32("", 0), 0u);
 }
 
+namespace {
+
+/// The oracle for the sliced CRC: one byte per step, each byte shifted
+/// through the reflected IEEE polynomial bit by bit, with no table.
+std::uint32_t bytewiseCrc32(const unsigned char *P, std::size_t Size) {
+  std::uint32_t C = 0xFFFFFFFFu;
+  for (std::size_t I = 0; I < Size; ++I) {
+    C ^= P[I];
+    for (int K = 0; K < 8; ++K)
+      C = (C & 1) ? 0xEDB88320u ^ (C >> 1) : C >> 1;
+  }
+  return C ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> seededBytes(std::size_t Size, std::uint64_t Seed) {
+  Rng R(Seed);
+  std::vector<unsigned char> Out(Size);
+  for (unsigned char &B : Out)
+    B = static_cast<unsigned char>(R.nextU64() >> 56);
+  return Out;
+}
+
+} // namespace
+
+TEST(Persist, Crc32MatchesBytewiseReference) {
+  // Every length up to 1,100 at every start offset modulo 8: each split
+  // into eight-byte steps and a tail, at every alignment.
+  constexpr std::size_t MaxLen = 1100;
+  const std::vector<unsigned char> Buf = seededBytes(MaxLen + 8, 19);
+  for (std::size_t Offset = 0; Offset < 8; ++Offset)
+    for (std::size_t Len = 0; Len <= MaxLen; ++Len)
+      ASSERT_EQ(persist::crc32(Buf.data() + Offset, Len),
+                bytewiseCrc32(Buf.data() + Offset, Len))
+          << "offset " << Offset << ", length " << Len;
+
+  // Chaining the first part's CRC as the seed of the rest gives the
+  // whole buffer's CRC at every split point.
+  const std::uint32_t Whole = bytewiseCrc32(Buf.data(), MaxLen);
+  for (std::size_t Split = 0; Split <= MaxLen; ++Split)
+    ASSERT_EQ(persist::crc32(Buf.data() + Split, MaxLen - Split,
+                             persist::crc32(Buf.data(), Split)),
+              Whole)
+        << "split " << Split;
+
+  // One buffer over 1 MiB: long runs of eight-byte steps.
+  const std::vector<unsigned char> Big = seededBytes((1u << 20) + 5, 20);
+  EXPECT_EQ(persist::crc32(Big.data(), Big.size()),
+            bytewiseCrc32(Big.data(), Big.size()));
+}
+
 TEST(Persist, EncoderDecoderRoundTripIsBitExact) {
   persist::Encoder E;
   E.putU32(0xDEADBEEFu);
