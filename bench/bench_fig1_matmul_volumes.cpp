@@ -29,7 +29,7 @@ void printVolumeSweep() {
     for (std::int64_t Tile : {2, 4, 8}) {
       Problem P = makeMatmulProblem(N, N, N);
       VarTable Vars;
-      ExprGen EG(P, Vars);
+      ExprGen EG(P, Hierarchy::classic3Shape(), Vars);
       unsigned Ii = P.iteratorIndex("i"), Ij = P.iteratorIndex("j"),
                Ik = P.iteratorIndex("k");
       std::vector<unsigned> DramPerm = {Ii, Ik, Ij};
@@ -46,17 +46,16 @@ void printVolumeSweep() {
 
       Assignment A(Vars.size(), 1.0);
       for (unsigned I : {Ii, Ij, Ik}) {
-        A[EG.tripVar(TileLevel::Register, I)] = static_cast<double>(Tile);
-        A[EG.tripVar(TileLevel::DramTemporal, I)] =
-            static_cast<double>(N / Tile);
+        A[EG.tripVar(0, I)] = static_cast<double>(Tile);
+        A[EG.tripVar(2, I)] = static_cast<double>(N / Tile);
       }
 
-      TensorSymbolicModel MA = EG.buildTensorModel(1, PePerm, DramPerm);
-      TensorSymbolicModel MB = EG.buildTensorModel(2, PePerm, DramPerm);
+      TensorSymbolicModel MA = EG.buildTensorModel(1, {{}, PePerm, DramPerm});
+      TensorSymbolicModel MB = EG.buildTensorModel(2, {{}, PePerm, DramPerm});
       SimResult Oracle = simulateTiledNest(P, M);
 
-      double DvA = MA.DvDram.evaluate(A);
-      double DvB = MB.DvDram.evaluate(A);
+      double DvA = MA.Volume[1].evaluate(A);
+      double DvB = MB.Volume[1].evaluate(A);
       Table.addRow(
           {TablePrinter::formatInt(N), TablePrinter::formatInt(Tile),
            TablePrinter::formatDouble(DvA, 0),

@@ -34,7 +34,7 @@ Problem tableIProblem() {
 void printTableI() {
   Problem P = tableIProblem();
   VarTable Vars;
-  ExprGen EG(P, Vars);
+  ExprGen EG(P, Hierarchy::classic3Shape(), Vars);
 
   std::vector<unsigned> Perm = {
       P.iteratorIndex("w"), P.iteratorIndex("n"), P.iteratorIndex("k"),
@@ -44,7 +44,7 @@ void printTableI() {
   TablePrinter Table({"Step", "Iter", "In (DV)", "Out (DV)"});
   std::vector<std::string> InSteps, OutSteps, Iters;
   auto trace = [&](unsigned TensorIdx, std::vector<std::string> &Steps) {
-    EG.constructExpr(TensorIdx, Perm, TileLevel::PeTemporal,
+    EG.constructExpr(TensorIdx, Perm, /*Level=*/1,
                      EG.registerFootprint(TensorIdx),
                      [&](unsigned It, const LevelExprs &State) {
                        if (TensorIdx == 1)
@@ -75,10 +75,10 @@ void timeAlgorithm1(benchmark::State &State) {
       P.iteratorIndex("r")};
   for (auto _ : State) {
     VarTable Vars;
-    ExprGen EG(P, Vars);
+    ExprGen EG(P, Hierarchy::classic3Shape(), Vars);
     for (unsigned T = 0; T < 3; ++T)
-      benchmark::DoNotOptimize(EG.constructExpr(
-          T, Perm, TileLevel::PeTemporal, EG.registerFootprint(T)));
+      benchmark::DoNotOptimize(
+          EG.constructExpr(T, Perm, /*Level=*/1, EG.registerFootprint(T)));
   }
 }
 BENCHMARK(timeAlgorithm1);
@@ -89,9 +89,9 @@ void timeFullTensorModel(benchmark::State &State) {
                                  P.iteratorIndex("h"), P.iteratorIndex("w")};
   for (auto _ : State) {
     VarTable Vars;
-    ExprGen EG(P, Vars);
+    ExprGen EG(P, Hierarchy::classic3Shape(), Vars);
     for (unsigned T = 0; T < 3; ++T)
-      benchmark::DoNotOptimize(EG.buildTensorModel(T, Tiled, Tiled));
+      benchmark::DoNotOptimize(EG.buildTensorModel(T, {{}, Tiled, Tiled}));
   }
 }
 BENCHMARK(timeFullTensorModel);

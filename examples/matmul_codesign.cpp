@@ -23,7 +23,7 @@ int main() {
 
   // ---- Symbolic modeling (Section II / Section III-A).
   VarTable Vars;
-  ExprGen EG(Prob, Vars);
+  ExprGen EG(Prob, Hierarchy::classic3Shape(), Vars);
   unsigned Ii = Prob.iteratorIndex("i"), Ij = Prob.iteratorIndex("j"),
            Ik = Prob.iteratorIndex("k");
   // The paper's Fig. 1 permutations: SRAM-level <i, k, j> (iki in the
@@ -36,17 +36,17 @@ int main() {
   std::printf(" trip-count variables: s_* DRAM, p_* spatial, q_* per-PE,\n");
   std::printf(" r_* register; read-write tensors carry the factor 2)\n\n");
   for (unsigned TI = 0; TI < Prob.tensors().size(); ++TI) {
-    TensorSymbolicModel M = EG.buildTensorModel(TI, PePerm, DramPerm);
+    TensorSymbolicModel M = EG.buildTensorModel(TI, {{}, PePerm, DramPerm});
     const char *Name = Prob.tensors()[TI].Name.c_str();
     std::printf("%s:\n", Name);
     std::printf("  DF^0 (register tile)  = %s\n",
-                M.RegFootprint.toString(Vars).c_str());
+                M.Footprint[0].toString(Vars).c_str());
     std::printf("  DF^2 (SRAM tile)      = %s\n",
-                M.SramFootprint.toString(Vars).c_str());
+                M.Footprint[1].toString(Vars).c_str());
     std::printf("  DV (SRAM <-> regs)    = %s\n",
-                M.DvSramReg.toString(Vars).c_str());
+                M.Volume[0].toString(Vars).c_str());
     std::printf("  DV (DRAM <-> SRAM)    = %s\n\n",
-                M.DvDram.toString(Vars).c_str());
+                M.Volume[1].toString(Vars).c_str());
   }
 
   // ---- Co-design optimization (Eq. 5) at the Eyeriss area budget.

@@ -13,21 +13,18 @@
 using namespace thistle;
 
 std::string Hierarchy::validate() const {
-  std::ostringstream Err;
+  // Text is built only for a failed check: analyzeMultiNest asserts this
+  // on every evaluation.
   if (Levels.size() < 2)
     return "hierarchy needs at least two levels";
-  if (FanoutLevel < 1 || FanoutLevel >= Levels.size()) {
-    Err << "fan-out level " << FanoutLevel << " out of range [1, "
-        << Levels.size() - 1 << "]";
-    return Err.str();
-  }
+  if (FanoutLevel < 1 || FanoutLevel >= Levels.size())
+    return std::string("fan-out level ") + std::to_string(FanoutLevel) +
+           " out of range [1, " + std::to_string(Levels.size() - 1) + "]";
   if (NumPEs < 1)
     return "hierarchy needs at least one PE";
   for (std::size_t L = 0; L + 1 < Levels.size(); ++L)
-    if (Levels[L].CapacityWords < 1) {
-      Err << "level " << Levels[L].Name << " has no capacity";
-      return Err.str();
-    }
+    if (Levels[L].CapacityWords < 1)
+      return "level " + Levels[L].Name + " has no capacity";
   for (const HierarchyLevel &L : Levels) {
     if (L.AccessEnergyPj < 0.0)
       return "negative access energy at level " + L.Name;

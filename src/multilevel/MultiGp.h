@@ -1,17 +1,19 @@
-//===- multilevel/MultiGp.h - L-level GP generation & optimizer -*- C++ -*-===//
+//===- multilevel/MultiGp.h - L-level GP sweep ------------------*- C++ -*-===//
 //
 // Part of the Thistle reproduction (CGO 2022).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Generates and solves the constrained geometric programs of the paper
-/// for hierarchies of arbitrary depth — the "arbitrary number of tiling
-/// levels" generality that section III claims for Algorithm 1, carried
-/// through symbolic generation, capacity constraints per level, energy /
-/// delay objectives, divisor-chain rounding and evaluation. Architecture
-/// parameters are fixed here (the hierarchy is given); the co-design of
-/// a fixed 3-level machine is the thistle/ optimizer's job.
+/// Optimizes one layer onto a hierarchy of arbitrary depth — the
+/// "arbitrary number of tiling levels" generality that section III
+/// claims for Algorithm 1: one GP per combination of permutation classes
+/// (one class per level above the registers), each built, solved and
+/// rounded by the same engine as the classic pair sweep
+/// (thistle/GpBuilder.h, thistle/Rounding.h), with the same halo-bound
+/// fallback. On Hierarchy::classic3Level, with every combination solved,
+/// it returns optimizeLayer's design for a problem without symmetries
+/// (where the pair sweep prunes no mirror pair).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,8 +42,7 @@ struct MultiOptions {
   /// (eps = sigma_R * C, Area_R per word, per PE), intermediate levels
   /// as SRAMs (eps = sigma_S * sqrt(C); per-PE levels pay area once per
   /// PE), the outermost level as DRAM. The input hierarchy supplies the
-  /// structure (depth, fan-out, bandwidths); its capacities serve as
-  /// upper bounds for the rounded candidates.
+  /// structure (depth, fan-out, bandwidths, DRAM energy).
   bool CoDesignCapacities = false;
   double AreaBudgetUm2 = 0.0;
   TechParams Tech = TechParams::cgo45nm();
@@ -49,7 +50,9 @@ struct MultiOptions {
   /// be unrolled spatially).
   std::vector<std::string> UntiledIterNames = {"r", "s"};
   /// Cap on permutation-class combinations across the L-1 permuted
-  /// levels (the combination space grows as classes^(L-1)).
+  /// levels (the combination space grows as classes^(L-1)). Under the
+  /// cap the combos are spread evenly over the space; level 1's class
+  /// is the most significant digit of a combo's index.
   unsigned MaxPermCombos = 48;
   /// Divisor candidates per rounding step (the paper's n).
   unsigned NumCandidates = 2;

@@ -4,7 +4,6 @@
 
 #include <cassert>
 #include <numeric>
-#include <sstream>
 
 using namespace thistle;
 
@@ -46,7 +45,8 @@ std::int64_t MultiMapping::numPEsUsed() const {
 
 std::string MultiMapping::validate(const Problem &Prob,
                                    const Hierarchy &H) const {
-  std::ostringstream Err;
+  // Text is built only for a failed check: analyzeMultiNest asserts this
+  // on every evaluation.
   const unsigned NumIters = Prob.numIterators();
   if (TempFactors.size() != H.numLevels())
     return "temporal factor levels do not match the hierarchy depth";
@@ -67,12 +67,10 @@ std::string MultiMapping::validate(const Problem &Prob,
         return "temporal factor < 1";
       Product *= TempFactors[L][I];
     }
-    if (Product != Prob.iterators()[I].Extent) {
-      Err << "iterator " << Prob.iterators()[I].Name
-          << " factors multiply to " << Product << ", expected "
-          << Prob.iterators()[I].Extent;
-      return Err.str();
-    }
+    if (Product != Prob.iterators()[I].Extent)
+      return "iterator " + Prob.iterators()[I].Name + " factors multiply to " +
+             std::to_string(Product) + ", expected " +
+             std::to_string(Prob.iterators()[I].Extent);
   }
   for (const std::vector<unsigned> &Perm : Perms) {
     if (Perm.size() != NumIters)

@@ -6,44 +6,44 @@
 
 using namespace thistle;
 
-std::string ExprGen::tripVarName(TileLevel Level, const std::string &Iter) {
-  switch (Level) {
-  case TileLevel::DramTemporal:
-    return "s_" + Iter;
-  case TileLevel::Spatial:
-    return "p_" + Iter;
-  case TileLevel::PeTemporal:
-    return "q_" + Iter;
-  case TileLevel::Register:
-    return "r_" + Iter;
-  }
-  assert(false && "unknown tile level");
-  return "";
+namespace {
+
+/// The paper's letter for the temporal loops of \p Level in a hierarchy
+/// of \p NumLevels levels (see the file comment of ExprGen.h).
+std::string levelPrefix(unsigned Level, unsigned NumLevels) {
+  if (Level == 0)
+    return "r_";
+  if (Level + 1 == NumLevels)
+    return "s_";
+  std::string Prefix = "q";
+  if (Level > 1)
+    Prefix += std::to_string(Level);
+  return Prefix += '_';
 }
 
-ExprGen::ExprGen(const Problem &Prob, VarTable &Vars)
-    : Prob(Prob), Vars(Vars) {
-  for (unsigned L = 0; L < NumTileLevels; ++L) {
-    TripVars[L].reserve(Prob.numIterators());
+} // namespace
+
+ExprGen::ExprGen(const Problem &Prob, const Hierarchy &H, VarTable &Vars)
+    : Prob(Prob), FanoutLevel(H.FanoutLevel), TripVars(H.numLevels()) {
+  auto internLevel = [&](std::vector<VarId> &Block,
+                         const std::string &Prefix) {
     for (const Iterator &It : Prob.iterators())
-      TripVars[L].push_back(
-          Vars.intern(tripVarName(static_cast<TileLevel>(L), It.Name)));
-  }
+      Block.push_back(Vars.intern(Prefix + It.Name));
+  };
+  // Tile-loop order, outer to inner: the levels above the fan-out, the
+  // fan-out, then level F down to the register level.
+  const unsigned L = H.numLevels();
+  for (unsigned Lv = L; Lv-- > FanoutLevel + 1;)
+    internLevel(TripVars[Lv], levelPrefix(Lv, L));
+  internLevel(SpatialVars, "p_");
+  for (unsigned Lv = FanoutLevel + 1; Lv-- > 0;)
+    internLevel(TripVars[Lv], levelPrefix(Lv, L));
 }
 
-VarId ExprGen::innerVar(TileLevel Level, unsigned Iter) const {
-  switch (Level) {
-  case TileLevel::DramTemporal:
-    return tripVar(TileLevel::Spatial, Iter);
-  case TileLevel::Spatial:
-    return tripVar(TileLevel::PeTemporal, Iter);
-  case TileLevel::PeTemporal:
-    return tripVar(TileLevel::Register, Iter);
-  case TileLevel::Register:
-    break;
-  }
-  assert(false && "the register level has no inner level");
-  return 0;
+VarId ExprGen::innerVar(unsigned Level, unsigned Iter) const {
+  assert(Level >= 1 && "the register level has no inner level");
+  return Level == FanoutLevel + 1 ? spatialVar(Iter)
+                                  : tripVar(Level - 1, Iter);
 }
 
 FactoredExpr ExprGen::registerFootprint(unsigned TensorIdx) const {
@@ -56,8 +56,7 @@ FactoredExpr ExprGen::registerFootprint(unsigned TensorIdx) const {
     std::int64_t StrideSum = 0;
     for (const DimRef::Term &Term : D.Terms) {
       Extent += Signomial(Monomial::variable(
-          tripVar(TileLevel::Register, Term.Iter), 1.0,
-          static_cast<double>(Term.Stride)));
+          tripVar(0, Term.Iter), 1.0, static_cast<double>(Term.Stride)));
       StrideSum += Term.Stride;
     }
     if (StrideSum != 1)
@@ -69,7 +68,7 @@ FactoredExpr ExprGen::registerFootprint(unsigned TensorIdx) const {
 
 LevelExprs ExprGen::constructExpr(unsigned TensorIdx,
                                   const std::vector<unsigned> &Perm,
-                                  TileLevel Level, const FactoredExpr &DfPrev,
+                                  unsigned Level, const FactoredExpr &DfPrev,
                                   const StepObserver &Observer) const {
   const Tensor &T = Prob.tensors()[TensorIdx];
   LevelExprs State;
@@ -115,49 +114,46 @@ FactoredExpr ExprGen::spatialFootprint(unsigned TensorIdx,
   for (unsigned I = 0; I < Prob.numIterators(); ++I) {
     if (!T.usesIter(I))
       continue;
-    VarId QVar = tripVar(TileLevel::PeTemporal, I);
-    VarId RVar = tripVar(TileLevel::Register, I);
-    Monomial PTimes = Monomial::variable(tripVar(TileLevel::Spatial, I));
-    // The per-PE footprint contains q_i only if the iterator was tiled at
-    // the per-PE level; otherwise extend its register variable.
-    if (DF.mentions(QVar))
-      DF = DF.substituted(QVar, PTimes * Monomial::variable(QVar));
-    else
-      DF = DF.substituted(RVar, PTimes * Monomial::variable(RVar));
+    // The deepest chained variable of the per-PE slice: the level-F trip
+    // count if the iterator was tiled there, else further in (down to
+    // the register tile, which always mentions a present iterator).
+    unsigned Lv = FanoutLevel;
+    while (Lv > 0 && !DF.mentions(tripVar(Lv, I)))
+      --Lv;
+    VarId Inner = tripVar(Lv, I);
+    DF = DF.substituted(Inner, Monomial::variable(spatialVar(I)) *
+                                   Monomial::variable(Inner));
   }
   return DF;
 }
 
-TensorSymbolicModel
-ExprGen::buildTensorModel(unsigned TensorIdx,
-                          const std::vector<unsigned> &PePerm,
-                          const std::vector<unsigned> &DramPerm) const {
+TensorSymbolicModel ExprGen::buildTensorModel(
+    unsigned TensorIdx, const std::vector<std::vector<unsigned>> &Perms) const {
   const Tensor &T = Prob.tensors()[TensorIdx];
+  const unsigned L = numLevels();
   TensorSymbolicModel Model;
-  Model.RegFootprint = registerFootprint(TensorIdx);
+  Model.Footprint.reserve(L);
+  Model.Volume.reserve(L - 1);
+  Model.Footprint.push_back(registerFootprint(TensorIdx));
 
-  // Per-PE temporal level: DF^1 and the within-PE part of DV(S<->R).
-  LevelExprs Pe = constructExpr(TensorIdx, PePerm, TileLevel::PeTemporal,
-                                Model.RegFootprint);
-
-  // SRAM<->register volume: multicast collapses absent spatial iterators
-  // (Eq. 2); every DRAM-level trip count multiplies (per-level model).
-  Model.DvSramReg = Pe.DV;
-  for (unsigned I = 0; I < Prob.numIterators(); ++I) {
-    if (T.usesIter(I))
-      Model.DvSramReg.multiplyPrefix(
-          Monomial::variable(tripVar(TileLevel::Spatial, I)));
-    Model.DvSramReg.multiplyPrefix(
-        Monomial::variable(tripVar(TileLevel::DramTemporal, I)));
+  for (unsigned Lv = 1; Lv < L; ++Lv) {
+    LevelExprs Walk =
+        constructExpr(TensorIdx, Perms[Lv], Lv, Model.Footprint.back());
+    // Every trip count of the levels above multiplies (per-level model);
+    // the spatial trips multiply below the fan-out and, multicast
+    // collapsing absent iterators (Eq. 2), across it.
+    FactoredExpr &DV = Walk.DV;
+    for (unsigned I = 0; I < Prob.numIterators(); ++I) {
+      if (Lv < FanoutLevel || (Lv == FanoutLevel && T.usesIter(I)))
+        DV.multiplyPrefix(Monomial::variable(spatialVar(I)));
+      for (unsigned Up = Lv + 1; Up < L; ++Up)
+        DV.multiplyPrefix(Monomial::variable(tripVar(Up, I)));
+    }
+    Model.Volume.push_back(std::move(DV));
+    // From level F up, the tile spans the PE grid.
+    Model.Footprint.push_back(Lv == FanoutLevel
+                                  ? spatialFootprint(TensorIdx, Walk.DF)
+                                  : std::move(Walk.DF));
   }
-
-  // SRAM footprint: the tile spans the PE grid along present iterators.
-  Model.SramFootprint = spatialFootprint(TensorIdx, Pe.DF);
-
-  // DRAM level: Algorithm 1 once more, starting from the SRAM footprint.
-  LevelExprs Dram = constructExpr(TensorIdx, DramPerm,
-                                  TileLevel::DramTemporal,
-                                  Model.SramFootprint);
-  Model.DvDram = Dram.DV;
   return Model;
 }

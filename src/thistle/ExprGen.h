@@ -8,10 +8,24 @@
 /// Implements the paper's Algorithm 1: the compile-time generation of
 /// symbolic data-footprint (DF) and data-volume (DV) expressions for each
 /// tensor at each tiling level, as functions of per-level trip-count
-/// variables. Trip counts are named after the paper's convention
-/// (section III): r_<it> at the register level, q_<it> at the per-PE
-/// temporal level, p_<it> at the spatial level and s_<it> at the
-/// DRAM-temporal level, with N_<it> = s*p*q*r.
+/// variables, on a memory hierarchy of any depth (section III-A: "an
+/// arbitrary number of tiling levels").
+///
+/// A hierarchy of L levels (multilevel/Hierarchy.h, level 0 = registers,
+/// level L-1 = DRAM) with its PE fan-out at level F tiles each iterator
+/// into L temporal trip counts and one spatial trip count. Outer to
+/// inner, the tile loops are
+///
+///   t_{L-1}, ..., t_{F+1}, p, t_F, ..., t_1, t_0
+///
+/// so the fan-out enters directly above level F's temporal loops: a PE's
+/// slice of a level-F tile spans t_0 * ... * t_F, and the level-F tile
+/// spans the PE grid (the placement of ir/Mapping and
+/// MultiMapping::sliceExtents). Variables are named after the paper's
+/// convention (section III): r_<it> at level 0, p_<it> for the fan-out,
+/// s_<it> at the outermost level, and q_<it> at level 1 (q<l>_<it> at a
+/// deeper intermediate level l). On the classic register/SRAM/DRAM
+/// machine N_<it> = s*p*q*r.
 ///
 /// The register-level footprint DF^0 handles strided multi-iterator
 /// references: a dimension indexed by sum_t stride_t * it_t has symbolic
@@ -27,10 +41,9 @@
 #define THISTLE_THISTLE_EXPRGEN_H
 
 #include "expr/FactoredExpr.h"
-#include "ir/Mapping.h"
 #include "ir/Problem.h"
+#include "multilevel/Hierarchy.h"
 
-#include <array>
 #include <functional>
 #include <vector>
 
@@ -43,32 +56,37 @@ struct LevelExprs {
 };
 
 /// All symbolic expressions the GP builder needs for one tensor, for one
-/// (per-PE permutation, DRAM permutation) choice.
+/// choice of per-level permutations. Evaluated at an integer mapping,
+/// these are MultiNestAnalysis's occupancies and boundary counts
+/// (exactly when no trip-1 loop moves a hoist point and strides leave no
+/// holes, an upper bound otherwise).
 struct TensorSymbolicModel {
-  FactoredExpr RegFootprint;  ///< DF^0 over r_* variables.
-  FactoredExpr SramFootprint; ///< SRAM-tile footprint (r, q, p variables).
-  /// SRAM<->register volume: Algorithm 1 at the per-PE level, multiplied
-  /// by present spatial trip counts (multicast collapse, Eq. 2) and by
-  /// every DRAM-level trip count. Includes the factor 2 for read-write.
-  FactoredExpr DvSramReg;
-  /// DRAM<->SRAM volume: Algorithm 1 at the DRAM level starting from the
-  /// SRAM footprint. Includes the factor 2 for read-write.
-  FactoredExpr DvDram;
+  /// Footprint[l]: the tile resident at level l; from level F up it
+  /// spans the PE grid along the tensor's iterators.
+  std::vector<FactoredExpr> Footprint;
+  /// Volume[b]: words across boundary b (levels b <-> b+1): Algorithm 1
+  /// at level b+1, times every trip count of the levels above it, times
+  /// the spatial trip counts of every PE (private boundaries, b+1 < F)
+  /// or of the tensor's iterators only (the fan-out boundary, b+1 == F:
+  /// multicast collapses absent iterators, Eq. 2).
+  std::vector<FactoredExpr> Volume;
 };
 
 /// Generates trip-count variables and runs Algorithm 1.
 class ExprGen {
 public:
-  /// Interns all trip-count variables for \p Prob into \p Vars.
-  ExprGen(const Problem &Prob, VarTable &Vars);
+  /// Interns all trip-count variables of \p Prob tiled onto a hierarchy
+  /// shaped like \p H (its depth and fan-out) into \p Vars, block by
+  /// block in tile-loop order, outer to inner.
+  ExprGen(const Problem &Prob, const Hierarchy &H, VarTable &Vars);
 
-  /// The trip-count variable of \p Iter at \p Level.
-  VarId tripVar(TileLevel Level, unsigned Iter) const {
-    return TripVars[static_cast<unsigned>(Level)][Iter];
+  /// The temporal trip-count variable of \p Iter at level \p Level.
+  VarId tripVar(unsigned Level, unsigned Iter) const {
+    return TripVars[Level][Iter];
   }
 
-  /// Variable name, e.g. "q_h" (the paper's notation).
-  static std::string tripVarName(TileLevel Level, const std::string &Iter);
+  /// The spatial (PE fan-out) trip-count variable of \p Iter.
+  VarId spatialVar(unsigned Iter) const { return SpatialVars[Iter]; }
 
   /// DF^0: the register-level footprint of tensor \p TensorIdx.
   FactoredExpr registerFootprint(unsigned TensorIdx) const;
@@ -78,40 +96,42 @@ public:
   using StepObserver =
       std::function<void(unsigned Iter, const LevelExprs &State)>;
 
-  /// Algorithm 1 for tensor \p TensorIdx at temporal level \p Level:
+  /// Algorithm 1 for tensor \p TensorIdx at temporal level \p Level >= 1:
   /// \p Perm is the outer-to-inner order of this level's tile loops
-  /// (tiled iterators only) and \p DfPrev the footprint at the next lower
-  /// level. The replace() step substitutes the lower level's trip-count
-  /// variable v_prev with v_level * v_prev.
+  /// (tiled iterators only) and \p DfPrev the footprint of the tile one
+  /// loop level further in. The replace() step substitutes that level's
+  /// trip-count variable v_prev with v_level * v_prev.
   LevelExprs constructExpr(unsigned TensorIdx,
-                           const std::vector<unsigned> &Perm, TileLevel Level,
+                           const std::vector<unsigned> &Perm, unsigned Level,
                            const FactoredExpr &DfPrev,
                            const StepObserver &Observer = nullptr) const;
 
-  /// Lifts a footprint across the spatial level: present iterators get
-  /// their q variable replaced by p*q (the SRAM tile spans the PE grid).
+  /// Lifts a per-PE footprint across the fan-out: each present
+  /// iterator's innermost-chained variable v becomes p * v (the level-F
+  /// tile spans the PE grid).
   FactoredExpr spatialFootprint(unsigned TensorIdx,
                                 const FactoredExpr &DfPe) const;
 
-  /// Builds the full symbolic model of one tensor for the given per-PE
-  /// and DRAM-level permutations (outer-to-inner, tiled iterators only;
-  /// iterators not listed are untiled at that level).
-  TensorSymbolicModel buildTensorModel(unsigned TensorIdx,
-                                       const std::vector<unsigned> &PePerm,
-                                       const std::vector<unsigned> &DramPerm)
-      const;
-
-  const Problem &problem() const { return Prob; }
+  /// Builds the full symbolic model of one tensor. \p Perms[l] for
+  /// 1 <= l < L is the outer-to-inner order of level l's tile loops
+  /// (each lists the same tiled iterators; iterators not listed are
+  /// untiled temporally); Perms[0] is ignored.
+  TensorSymbolicModel
+  buildTensorModel(unsigned TensorIdx,
+                   const std::vector<std::vector<unsigned>> &Perms) const;
 
 private:
   const Problem &Prob;
-  VarTable &Vars;
-  std::array<std::vector<VarId>, NumTileLevels> TripVars;
+  unsigned FanoutLevel;
+  std::vector<std::vector<VarId>> TripVars; ///< [level][iterator].
+  std::vector<VarId> SpatialVars;           ///< [iterator].
 
-  /// The variable of the tiling level immediately below \p Level for
-  /// substitution chains (q level substitutes r, spatial substitutes q,
-  /// DRAM level substitutes p).
-  VarId innerVar(TileLevel Level, unsigned Iter) const;
+  unsigned numLevels() const { return TripVars.size(); }
+
+  /// The variable of the tile loop directly inside level \p Level's
+  /// loops, for substitution chains: the fan-out inside level F+1,
+  /// level Level-1 otherwise.
+  VarId innerVar(unsigned Level, unsigned Iter) const;
 };
 
 } // namespace thistle

@@ -6,17 +6,22 @@
 ///
 /// \file
 /// Assembles the constrained geometric programs of the paper for one
-/// choice of tile-loop permutations:
+/// choice of tile-loop permutations, on a memory hierarchy of any depth:
 ///
 ///  - dataflow optimization (Eq. 3): architecture parameters are fixed
 ///    constants, trip counts are the variables;
-///  - architecture-dataflow co-design (Eq. 5): the register capacity R,
-///    SRAM capacity S and PE count P become variables, the per-access
-///    energies follow Eq. 4 (eps_R = sigma_R*R, eps_S = sigma_S*sqrt(S)),
-///    and the linear area model bounds the total silicon area;
+///  - architecture-dataflow co-design (Eq. 5): the capacity of every
+///    on-chip level and the PE count P become variables, the per-access
+///    energies follow Eq. 4 (eps = sigma_R*C at the register level,
+///    sigma_S*sqrt(C) at the SRAM levels above it), and the linear area
+///    model bounds the total silicon area (per-PE levels pay once per
+///    PE);
 ///  - either objective: energy (the Eq. 3 sum) or delay, where the
 ///    max-of-components delay is expressed with the standard epigraph
 ///    trick (minimize T subject to component/T <= 1).
+///
+/// The classic entry points (GpBuildSpec) generate the paper's programs
+/// on Hierarchy::classic3Level: register capacity R, SRAM capacity S.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,13 +30,12 @@
 
 #include "ir/Problem.h"
 #include "model/TechModel.h"
+#include "multilevel/Hierarchy.h"
 #include "support/Status.h"
 #include "nestmodel/Objective.h"
 #include "solver/GpProblem.h"
 #include "solver/GpSolver.h"
-#include "thistle/ExprGen.h"
 
-#include <array>
 #include <vector>
 
 namespace thistle {
@@ -39,7 +43,7 @@ namespace thistle {
 /// Whether architecture parameters are variables.
 enum class DesignMode {
   DataflowOnly, ///< Eq. 3: fixed architecture.
-  CoDesign,     ///< Eq. 5: R, S, P variables under an area budget.
+  CoDesign,     ///< Eq. 5: capacities and P variables under an area budget.
 };
 
 /// How signomial halo factors (e.g. r_h + r_r - 1) are over-approximated
@@ -55,16 +59,16 @@ enum class HaloBound {
   ProductOfTerms,
 };
 
-/// Everything needed to generate one GP.
-struct GpBuildSpec {
+/// Everything but the machine needed to generate one GP on a hierarchy.
+struct HierarchyGpSpec {
   DesignMode Mode = DesignMode::DataflowOnly;
   SearchObjective Objective = SearchObjective::Energy;
-  /// Outer-to-inner per-PE temporal permutation (tiled iterators only).
-  std::vector<unsigned> PePerm;
-  /// Outer-to-inner DRAM-level temporal permutation (tiled iterators only).
-  std::vector<unsigned> DramPerm;
+  /// Perms[l] for 1 <= l < L: outer-to-inner order of level l's
+  /// temporal tile loops (tiled iterators only). Perms[0] is ignored.
+  std::vector<std::vector<unsigned>> Perms;
   /// Iterators allowed to be tiled temporally; all others (stencil dims
-  /// r/s, extent-1 dims) keep trip count 1 at both temporal tile levels.
+  /// r/s, extent-1 dims) keep trip count 1 at every temporal level above
+  /// the register level.
   std::vector<unsigned> TiledIters;
   /// When true, untiled iterators may still be *spatially* partitioned
   /// (r_it * p_it = N_it): Eyeriss-style row-stationary mapping of the
@@ -73,7 +77,26 @@ struct GpBuildSpec {
   /// them into a number of equal tiles"); spatial unrolling keeps whole
   /// rows per PE and is essential for the delay objective.
   bool SpatialUntiled = true;
-  /// Over-approximation used for halo factors in the DGP.
+  /// Over-approximation used for halo factors in the register-level
+  /// footprint (the small-tile regime where the choice matters).
+  HaloBound Halo = HaloBound::DropNegative;
+  /// Eq. 4 energy laws and Eq. 5 area model (CoDesign).
+  TechParams Tech = TechParams::cgo45nm();
+  /// Area budget for co-design (Eq. 5 right-hand side), in um^2.
+  double AreaBudgetUm2 = 0.0;
+};
+
+/// Everything needed to generate one GP on the classic 3-level machine.
+struct GpBuildSpec {
+  DesignMode Mode = DesignMode::DataflowOnly;
+  SearchObjective Objective = SearchObjective::Energy;
+  /// Outer-to-inner per-PE temporal permutation (tiled iterators only).
+  std::vector<unsigned> PePerm;
+  /// Outer-to-inner DRAM-level temporal permutation (tiled iterators only).
+  std::vector<unsigned> DramPerm;
+  /// See HierarchyGpSpec.
+  std::vector<unsigned> TiledIters;
+  bool SpatialUntiled = true;
   HaloBound Halo = HaloBound::DropNegative;
   /// Fixed architecture (DataflowOnly) / bandwidth source (CoDesign).
   ArchConfig Arch;
@@ -82,15 +105,26 @@ struct GpBuildSpec {
   double AreaBudgetUm2 = 0.0;
 };
 
+/// The machine a classic spec targets: Hierarchy::classic3Level.
+Hierarchy classicHierarchy(const GpBuildSpec &Spec);
+
+/// The hierarchy-generic form of a classic spec: level 1 runs the per-PE
+/// permutation, level 2 the DRAM one.
+HierarchyGpSpec hierarchyGpSpec(const GpBuildSpec &Spec);
+
 /// The generated GP plus the variable handles needed for extraction.
 struct GpBuild {
   GpProblem Gp;
-  /// Trip-count variable per [level][iterator].
-  std::array<std::vector<VarId>, NumTileLevels> TripVars;
+  /// TripVars[l][i]: temporal trip-count variable of iterator i at
+  /// level l.
+  std::vector<std::vector<VarId>> TripVars;
+  /// SpatialVars[i]: the PE fan-out trip-count variable of iterator i.
+  std::vector<VarId> SpatialVars;
   bool HasArchVars = false;
-  VarId RegCapVar = 0;  ///< R (co-design only).
-  VarId SramCapVar = 0; ///< S (co-design only).
-  VarId NumPEVar = 0;   ///< P (co-design only).
+  /// CapacityVars[l] for every level below the outermost (co-design
+  /// only; R and S on the classic machine).
+  std::vector<VarId> CapacityVars;
+  VarId NumPEVar = 0; ///< P (co-design only).
   bool HasEpigraph = false;
   VarId EpigraphVar = 0; ///< T (delay objective only).
 };
@@ -103,22 +137,36 @@ struct GpBuild {
 /// iterators. buildGp requires a spec that passes this check.
 Status validateGpBuildSpec(const Problem &Prob, const GpBuildSpec &Spec);
 
-/// Builds the GP for \p Prob under \p Spec. \p Spec must satisfy
-/// validateGpBuildSpec; a failing spec yields an unusable program
-/// (e.g. infinite variable bounds), not a diagnostic.
+/// Builds the GP for \p Prob on \p H under \p Spec (H must validate;
+/// its capacities and energies are ignored in co-design, its fan-out
+/// and bandwidths never are).
+GpBuild buildGp(const Problem &Prob, const Hierarchy &H,
+                const HierarchyGpSpec &Spec);
+
+/// Builds the GP for \p Prob under \p Spec on its classic machine.
+/// \p Spec must satisfy validateGpBuildSpec; a failing spec yields an
+/// unusable program (e.g. infinite variable bounds), not a diagnostic.
 GpBuild buildGp(const Problem &Prob, const GpBuildSpec &Spec);
 
 /// The real (pre-rounding) solution in mapping terms.
 struct RealSolution {
-  /// Trips[i][l]: real trip count of iterator i at level l.
-  std::vector<std::array<double, NumTileLevels>> Trips;
-  double RegWords = 0.0;  ///< R (solved or fixed).
-  double SramWords = 0.0; ///< S.
+  /// Trips[l][i]: real temporal trip count of iterator i at level l.
+  std::vector<std::vector<double>> Trips;
+  /// Spatial[i]: real PE fan-out trip count of iterator i.
+  std::vector<double> Spatial;
+  /// CapacityWords[l] for every level below the outermost (solved, or
+  /// the hierarchy's fixed ones).
+  std::vector<double> CapacityWords;
   double NumPEs = 0.0;    ///< P.
   double Objective = 0.0; ///< GP objective value (model estimate).
 };
 
-/// Extracts the real solution from a feasible \p Solution of \p Build.
+/// Extracts the real solution from a feasible \p Solution of \p Build,
+/// generated for \p H.
+RealSolution extractSolution(const Hierarchy &H, const GpBuild &Build,
+                             const GpSolution &Solution);
+
+/// As above, for a GP generated from a classic \p Spec.
 RealSolution extractSolution(const Problem &Prob, const GpBuild &Build,
                              const GpBuildSpec &Spec,
                              const GpSolution &Solution);

@@ -249,8 +249,7 @@ NetworkResult thistle::optimizeNetwork(const std::vector<ConvLayer> &Layers,
   // shape's dataflow under it, and the smallest summed objective over
   // all input layers wins. Ties break on candidate order (first
   // appearance over shapes), which is itself deterministic.
-  if (Options.Layer.Mode == DesignMode::CoDesign &&
-      Options.SelectNetworkArch) {
+  if (Options.Layer.Mode == DesignMode::CoDesign) {
     std::vector<ArchConfig> CandidateArchs;
     for (const ThistleResult &R : Selected) {
       if (!R.Found)

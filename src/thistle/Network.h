@@ -47,10 +47,6 @@ struct NetworkOptions {
   /// across requests); when set, Layer.Threads is ignored. Results are
   /// bit-identical at any pool size either way.
   ThreadPool *Pool = nullptr;
-  /// In CoDesign mode, run the second phase that selects one
-  /// architecture for the whole network (the paper's comparison). When
-  /// false each layer keeps its own co-designed architecture.
-  bool SelectNetworkArch = true;
   /// Deterministic 1-of-N partition of the pair-task grid for
   /// distributed sweeps (docs/PERSISTENCE.md): this process solves only
   /// tasks whose global index is congruent to ShardIndex mod ShardCount

@@ -44,9 +44,6 @@ struct ThistleOptions {
   bool SpatialUntiled = true;
   /// Cap on permutation-class pairs to solve (0 = all).
   unsigned MaxPermClassPairs = 0;
-  /// Skip pairs that are mirror images under problem symmetries
-  /// (the paper's H/W pruning).
-  bool UseSymmetryPruning = true;
   /// Worker threads for the pair sweep (0 = one per hardware thread).
   /// The result is bit-identical at every thread count — the sweep plan
   /// is fixed before fan-out and the winner is reduced with a total

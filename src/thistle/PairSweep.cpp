@@ -80,15 +80,14 @@ LayerSweepPlan thistle::planLayerSweep(const Problem &Prob,
   for (const PermClass &C : Plan.Classes)
     Plan.RawPermsPerLevel += C.MemberCount;
 
-  std::vector<ProblemSymmetry> Symmetries;
-  if (Options.UseSymmetryPruning)
-    Symmetries = findProblemSymmetries(Prob);
+  const std::vector<ProblemSymmetry> Symmetries = findProblemSymmetries(Prob);
 
-  // Symmetry pruning skips a pair if a problem symmetry maps it to a
-  // lexicographically smaller pair (its mirror image was/will be solved
-  // instead). The comparison is lexicographic over (PE, DRAM) class, so
-  // it only needs each class's image under each symmetry ordered
-  // against the class itself, computed once per class here.
+  // Symmetry pruning (the paper's H/W pruning) skips a pair if a problem
+  // symmetry maps it to a lexicographically smaller pair (its mirror
+  // image was/will be solved instead). The comparison is lexicographic
+  // over (PE, DRAM) class, so it only needs each class's image under
+  // each symmetry ordered against the class itself, computed once per
+  // class here.
   std::vector<std::vector<std::strong_ordering>> MappedOrder(
       Symmetries.size());
   for (std::size_t K = 0; K < Symmetries.size(); ++K)

@@ -6,33 +6,36 @@
 ///
 /// \file
 /// Converts the solver's real solution into integer designs, following the
-/// paper's section IV procedure: memory capacities are rounded to the N
-/// closest powers of two; tile sizes are chosen hierarchically as
-/// divisors — SRAM-level tile sizes from the divisors of each problem
-/// extent, then PE-level tiles from the divisors of the chosen SRAM tile,
-/// then register tiles from the divisors of the PE tile. The cross
-/// product of candidates is filtered (divisibility by construction,
-/// capacity/area, optional minimum utilization) and the survivors are
-/// priced with the cost model (the paper's Timeloop-model role); the
+/// paper's section IV procedure, on a hierarchy of any depth: memory
+/// capacities are rounded to the N closest powers of two; tile sizes are
+/// chosen hierarchically as divisors, outer to inner — the outermost
+/// on-chip tile from the divisors of each problem extent, each tile
+/// further in from the divisors of the one around it, down to the
+/// register tile (on the classic machine: SRAM tile, per-PE tile,
+/// register tile). The cross product of candidates is filtered
+/// (divisibility by construction, capacity/area, optional minimum
+/// utilization) and the survivors are priced with the cost model (the
+/// paper's Timeloop-model role) as MultiMappings on their hierarchy; the
 /// best candidate wins.
 ///
 /// A candidate that provably cannot win is skipped unpriced. A win needs
 /// a legal design with a strictly smaller objective than the incumbent's,
 /// so two filters drop a complete candidate before the cost model sees
 /// it, without changing the winner:
-///  - its register or SRAM footprint exceeds the architecture's capacity
-///    (tileFootprint: the cost model would flag it illegal);
-///  - the objective its DRAM traffic alone forces, outerTrafficFloor of
-///    dramBoundaryWords, is already >= the incumbent's (the KAPLA-style
-///    bound of PAPERS.md: energy >= the MAC term + (eps_S + eps_D) *
-///    W_DRAM, cycles >= max(Nops / PEsUsed, W_DRAM / BW_DRAM,
-///    W_DRAM / BW_SRAM, 1), EDP >= their product).
+///  - a level's footprint exceeds the level's capacity (tileFootprint:
+///    the cost model would flag it illegal);
+///  - the objective its outermost (DRAM) traffic alone forces,
+///    outerTrafficFloor of outerBoundaryWords, is already >= the
+///    incumbent's (the KAPLA-style bound of PAPERS.md: energy >= the MAC
+///    term + (eps_S + eps_D) * W_DRAM, cycles >= max(Nops / PEsUsed,
+///    W_DRAM / BW_DRAM, W_DRAM / BW_SRAM, 1), EDP >= their product).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef THISTLE_THISTLE_ROUNDING_H
 #define THISTLE_THISTLE_ROUNDING_H
 
+#include "multilevel/MultiMapping.h"
 #include "nestmodel/CostEvaluator.h"
 #include "nestmodel/Evaluator.h"
 #include "thistle/GpBuilder.h"
@@ -67,7 +70,18 @@ struct RoundingOptions {
   const CostEvaluator *Evaluator = nullptr;
 };
 
-/// Best integer design found around one real solution.
+/// Best integer design found around one real solution on a hierarchy.
+struct RoundedHierarchyDesign {
+  bool Found = false;
+  /// The input hierarchy (dataflow mode) or its rounded co-design.
+  Hierarchy Arch;
+  MultiMapping Map;
+  MultiEvalResult Eval;
+  /// Candidates priced by the cost model; skipped ones do not count.
+  std::size_t CandidatesTried = 0;
+};
+
+/// Best integer design found around one real solution of a classic GP.
 struct RoundedDesign {
   bool Found = false;
   ArchConfig Arch;  ///< Fixed arch (dataflow mode) or rounded (co-design).
@@ -77,36 +91,28 @@ struct RoundedDesign {
   std::size_t CandidatesTried = 0;
 };
 
-/// Register (per PE) and SRAM footprints of a tiling, in words.
-struct TileFootprint {
-  std::int64_t RegWords = 0;
-  std::int64_t SramWords = 0;
+/// Words of every tensor's tile of per-iterator extents \p TileExtents,
+/// summed: the occupancy of a level holding such tiles.
+std::int64_t tileFootprint(const Problem &Prob,
+                           const std::vector<std::int64_t> &TileExtents);
 
-  /// Whether both fit \p Arch. For a mapping using at most Arch.NumPEs
-  /// PEs this is exactly the cost model's EvalResult::Legal.
-  bool fits(const ArchConfig &Arch) const {
-    return RegWords <= Arch.RegWordsPerPE && SramWords <= Arch.SramWords;
-  }
-};
+/// Words crossing the outermost boundary of \p H when \p Map's outermost
+/// loops enumerate tiles of extents \p TileExtents (its level L-2
+/// tiles): analyzeMultiNest's count of that boundary, which has no
+/// enclosing loops.
+std::int64_t outerBoundaryWords(const Problem &Prob, const Hierarchy &H,
+                                const MultiMapping &Map,
+                                const std::vector<std::int64_t> &TileExtents);
 
-/// The footprints of register tiles \p RegTile and SRAM tiles
-/// \p SramTile (per-iterator extents), summed over the tensors.
-TileFootprint tileFootprint(const Problem &Prob,
-                            const std::vector<std::int64_t> &RegTile,
-                            const std::vector<std::int64_t> &SramTile);
+/// Rounds \p Real (obtained from the GP built for \p H with \p Spec) and
+/// returns the best evaluated integer design.
+RoundedHierarchyDesign roundSolution(const Problem &Prob, const Hierarchy &H,
+                                     const HierarchyGpSpec &Spec,
+                                     const RealSolution &Real,
+                                     const RoundingOptions &Options);
 
-/// Words crossing the DRAM <-> SRAM boundary when SRAM tiles \p SramTile
-/// are enumerated by DRAM loops with trip counts \p DramTrips in order
-/// \p DramPerm (outer to inner): analyzeMultiNest's count of the
-/// outermost boundary, which has no enclosing loops and lies above the
-/// PE fan-out.
-std::int64_t dramBoundaryWords(const Problem &Prob,
-                               const std::vector<unsigned> &DramPerm,
-                               const std::vector<std::int64_t> &DramTrips,
-                               const std::vector<std::int64_t> &SramTile);
-
-/// Rounds \p Real (obtained from the GP built with \p Spec) and returns
-/// the best evaluated integer design.
+/// Rounds \p Real (obtained from the GP built with the classic \p Spec)
+/// on its classic machine.
 RoundedDesign roundSolution(const Problem &Prob, const GpBuildSpec &Spec,
                             const RealSolution &Real,
                             const RoundingOptions &Options);

@@ -2,16 +2,23 @@
 //
 // Validates the symbolic DF/DV generator against the paper's worked
 // examples: the Table I step-by-step trace, the matmul closed forms of
-// Eq. 1 / Eq. 2, and numerically against the analytical nest model.
+// Eq. 1 / Eq. 2, and numerically against the analytical nest model on
+// hierarchies of every depth.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ir/Builders.h"
-#include "nestmodel/NestAnalysis.h"
+#include "multilevel/MultiNestAnalysis.h"
+#include "support/MathUtil.h"
 #include "support/Rng.h"
 #include "thistle/ExprGen.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 using namespace thistle;
 
@@ -28,10 +35,37 @@ Assignment randomAssignment(const VarTable &Vars, Rng &R) {
 } // namespace
 
 TEST(ExprGen, VarNamesFollowPaperNotation) {
-  EXPECT_EQ(ExprGen::tripVarName(TileLevel::Register, "h"), "r_h");
-  EXPECT_EQ(ExprGen::tripVarName(TileLevel::PeTemporal, "h"), "q_h");
-  EXPECT_EQ(ExprGen::tripVarName(TileLevel::Spatial, "h"), "p_h");
-  EXPECT_EQ(ExprGen::tripVarName(TileLevel::DramTemporal, "h"), "s_h");
+  // Names per tile loop, interned block by block in loop order, outer to
+  // inner: s, p, q, r on the classic machine; a scratchpad level below
+  // the fan-out adds q2 between p and q.
+  Problem P = makeMatmulProblem(4, 4, 4);
+  const unsigned I = P.iteratorIndex("i");
+  const unsigned N = P.numIterators();
+  VarTable Vars;
+  ExprGen EG(P, Hierarchy::classic3Shape(), Vars);
+  EXPECT_EQ(Vars.nameOf(EG.tripVar(0, I)), "r_i");
+  EXPECT_EQ(Vars.nameOf(EG.tripVar(1, I)), "q_i");
+  EXPECT_EQ(Vars.nameOf(EG.spatialVar(I)), "p_i");
+  EXPECT_EQ(Vars.nameOf(EG.tripVar(2, I)), "s_i");
+  EXPECT_EQ(EG.tripVar(2, I), I);
+  EXPECT_EQ(EG.spatialVar(I), N + I);
+  EXPECT_EQ(EG.tripVar(1, I), 2 * N + I);
+  EXPECT_EQ(EG.tripVar(0, I), 3 * N + I);
+
+  Hierarchy Spad = Hierarchy::withScratchpad(
+      eyerissArch(), TechParams::cgo45nm(), /*SpadWords=*/64,
+      /*SramWords=*/1024);
+  VarTable Deep;
+  ExprGen DG(P, Spad, Deep);
+  const std::vector<VarId> Loops = {DG.tripVar(3, I), DG.spatialVar(I),
+                                    DG.tripVar(2, I), DG.tripVar(1, I),
+                                    DG.tripVar(0, I)};
+  const std::vector<std::string> Names = {"s_i", "p_i", "q2_i", "q_i",
+                                          "r_i"};
+  for (unsigned K = 0; K < Loops.size(); ++K) {
+    EXPECT_EQ(Loops[K], K * N + I);
+    EXPECT_EQ(Deep.nameOf(Loops[K]), Names[K]);
+  }
 }
 
 TEST(ExprGen, RegisterFootprintsSectionIIIA) {
@@ -47,7 +81,7 @@ TEST(ExprGen, RegisterFootprintsSectionIIIA) {
   L.StrideY = 2;
   Problem P = makeConvProblem(L);
   VarTable Vars;
-  ExprGen EG(P, Vars);
+  ExprGen EG(P, Hierarchy::classic3Shape(), Vars);
 
   FactoredExpr DfIn = EG.registerFootprint(1);
   // Two halo factors (the n and c extents are single monomials folded
@@ -90,7 +124,7 @@ TEST(ExprGen, TableITraceForInAndOut) {
   L.StrideY = 2;
   Problem P = makeConvProblem(L);
   VarTable Vars;
-  ExprGen EG(P, Vars);
+  ExprGen EG(P, Hierarchy::classic3Shape(), Vars);
 
   std::vector<unsigned> Perm = {
       P.iteratorIndex("w"), P.iteratorIndex("n"), P.iteratorIndex("k"),
@@ -99,12 +133,12 @@ TEST(ExprGen, TableITraceForInAndOut) {
 
   std::vector<std::string> InTrace, OutTrace;
   LevelExprs In = EG.constructExpr(
-      1, Perm, TileLevel::PeTemporal, EG.registerFootprint(1),
+      1, Perm, /*Level=*/1, EG.registerFootprint(1),
       [&](unsigned, const LevelExprs &State) {
         InTrace.push_back(State.DV.toString(Vars));
       });
   LevelExprs Out = EG.constructExpr(
-      0, Perm, TileLevel::PeTemporal, EG.registerFootprint(0),
+      0, Perm, /*Level=*/1, EG.registerFootprint(0),
       [&](unsigned, const LevelExprs &State) {
         OutTrace.push_back(State.DV.toString(Vars));
       });
@@ -147,7 +181,7 @@ TEST(ExprGen, MatmulEq1DramVolumes) {
   // (the factor 2 for C covers both directions).
   Problem P = makeMatmulProblem(64, 64, 64);
   VarTable Vars;
-  ExprGen EG(P, Vars);
+  ExprGen EG(P, Hierarchy::classic3Shape(), Vars);
   unsigned Ii = P.iteratorIndex("i"), Ij = P.iteratorIndex("j"),
            Ik = P.iteratorIndex("k");
   std::vector<unsigned> DramPerm = {Ii, Ik, Ij};
@@ -169,20 +203,20 @@ TEST(ExprGen, MatmulEq1DramVolumes) {
     };
     (void)V;
 
-    TensorSymbolicModel C = EG.buildTensorModel(0, PePerm, DramPerm);
-    TensorSymbolicModel MA = EG.buildTensorModel(1, PePerm, DramPerm);
-    TensorSymbolicModel MB = EG.buildTensorModel(2, PePerm, DramPerm);
+    TensorSymbolicModel C = EG.buildTensorModel(0, {{}, PePerm, DramPerm});
+    TensorSymbolicModel MA = EG.buildTensorModel(1, {{}, PePerm, DramPerm});
+    TensorSymbolicModel MB = EG.buildTensorModel(2, {{}, PePerm, DramPerm});
 
     double Ni = N("i"), Nj = N("j"), Nk = N("k");
-    EXPECT_NEAR(MA.DvDram.evaluate(A), Ni * Nk, 1e-9 * Ni * Nk);
-    EXPECT_NEAR(MB.DvDram.evaluate(A), Ni * Nj * Nk / SramTile("i"),
-                1e-6 * MB.DvDram.evaluate(A));
-    EXPECT_NEAR(C.DvDram.evaluate(A), 2.0 * Ni * Nj * Nk / SramTile("k"),
-                1e-6 * C.DvDram.evaluate(A));
+    EXPECT_NEAR(MA.Volume[1].evaluate(A), Ni * Nk, 1e-9 * Ni * Nk);
+    EXPECT_NEAR(MB.Volume[1].evaluate(A), Ni * Nj * Nk / SramTile("i"),
+                1e-6 * MB.Volume[1].evaluate(A));
+    EXPECT_NEAR(C.Volume[1].evaluate(A), 2.0 * Ni * Nj * Nk / SramTile("k"),
+                1e-6 * C.Volume[1].evaluate(A));
 
     // SRAM footprints: A is Si*Sk etc.
-    EXPECT_NEAR(MA.SramFootprint.evaluate(A), SramTile("i") * SramTile("k"),
-                1e-9 * MA.SramFootprint.evaluate(A));
+    EXPECT_NEAR(MA.Footprint[1].evaluate(A), SramTile("i") * SramTile("k"),
+                1e-9 * MA.Footprint[1].evaluate(A));
   }
 }
 
@@ -192,7 +226,7 @@ TEST(ExprGen, MatmulEq2RegisterVolumes) {
   //   DVol_C = 2*NiNjNk / Sk.
   Problem P = makeMatmulProblem(64, 64, 64);
   VarTable Vars;
-  ExprGen EG(P, Vars);
+  ExprGen EG(P, Hierarchy::classic3Shape(), Vars);
   unsigned Ii = P.iteratorIndex("i"), Ij = P.iteratorIndex("j"),
            Ik = P.iteratorIndex("k");
   std::vector<unsigned> DramPerm = {Ii, Ik, Ij};
@@ -210,82 +244,180 @@ TEST(ExprGen, MatmulEq2RegisterVolumes) {
     double Ni = N("i"), Nj = N("j"), Nk = N("k");
     double Vol = Ni * Nj * Nk;
 
-    TensorSymbolicModel C = EG.buildTensorModel(0, PePerm, DramPerm);
-    TensorSymbolicModel MA = EG.buildTensorModel(1, PePerm, DramPerm);
-    TensorSymbolicModel MB = EG.buildTensorModel(2, PePerm, DramPerm);
+    TensorSymbolicModel C = EG.buildTensorModel(0, {{}, PePerm, DramPerm});
+    TensorSymbolicModel MA = EG.buildTensorModel(1, {{}, PePerm, DramPerm});
+    TensorSymbolicModel MB = EG.buildTensorModel(2, {{}, PePerm, DramPerm});
 
-    EXPECT_NEAR(MA.DvSramReg.evaluate(A), Vol / (Get("r_j") * Get("p_j")),
-                1e-6 * MA.DvSramReg.evaluate(A));
-    EXPECT_NEAR(MB.DvSramReg.evaluate(A), Vol / (Get("r_i") * Get("p_i")),
-                1e-6 * MB.DvSramReg.evaluate(A));
+    EXPECT_NEAR(MA.Volume[0].evaluate(A), Vol / (Get("r_j") * Get("p_j")),
+                1e-6 * MA.Volume[0].evaluate(A));
+    EXPECT_NEAR(MB.Volume[0].evaluate(A), Vol / (Get("r_i") * Get("p_i")),
+                1e-6 * MB.Volume[0].evaluate(A));
     double Sk = Get("p_k") * Get("q_k") * Get("r_k");
-    EXPECT_NEAR(C.DvSramReg.evaluate(A), 2.0 * Vol / Sk,
-                1e-6 * C.DvSramReg.evaluate(A));
+    EXPECT_NEAR(C.Volume[0].evaluate(A), 2.0 * Vol / Sk,
+                1e-6 * C.Volume[0].evaluate(A));
   }
 }
 
-TEST(ExprGen, SymbolicMatchesNestModelOnConcreteMapping) {
-  // End-to-end: Algorithm 1 evaluated at an integer mapping's trip counts
-  // must equal the analytical nest model (when no trip-1 present loops
-  // hide below absent ones and strides leave no holes).
-  ConvLayer L;
-  L.K = 4;
-  L.C = 4;
-  L.Hin = 8;
-  L.Win = 8;
-  L.R = 3;
-  L.S = 3;
-  Problem P = makeConvProblem(L);
-  VarTable Vars;
-  ExprGen EG(P, Vars);
+namespace {
 
-  unsigned K = P.iteratorIndex("k"), C = P.iteratorIndex("c"),
-           H = P.iteratorIndex("h"), W = P.iteratorIndex("w"),
-           Rr = P.iteratorIndex("r"), Ss = P.iteratorIndex("s");
+/// Prime factors of \p N, counted with multiplicity.
+unsigned primeFactorCount(std::int64_t N) {
+  unsigned Count = 0;
+  for (std::int64_t D = 2; D * D <= N; ++D)
+    for (; N % D == 0; N /= D)
+      ++Count;
+  return Count + (N > 1);
+}
 
-  Mapping M = Mapping::untiled(P);
-  // Every tiled level uses trip counts >= 2 so that the symbolic model
-  // (which is permutation-driven) and the concrete model (which sees
-  // through trip-1 loops) pick the same hoist points.
-  auto Set = [&](unsigned I, std::int64_t R, std::int64_t Q, std::int64_t Sp,
-                 std::int64_t S) {
-    M.factor(I, TileLevel::Register) = R;
-    M.factor(I, TileLevel::PeTemporal) = Q;
-    M.factor(I, TileLevel::Spatial) = Sp;
-    M.factor(I, TileLevel::DramTemporal) = S;
-  };
-  Set(K, 1, 2, 1, 2);
-  Set(C, 1, 2, 1, 2);
-  Set(H, 2, 2, 1, 2);
-  Set(W, 2, 2, 1, 2);
-  ASSERT_TRUE(M.validate(P).empty());
+/// A hierarchy shape of \p NumLevels levels with the fan-out at \p Fanout.
+Hierarchy hierarchyShape(unsigned NumLevels, unsigned Fanout) {
+  Hierarchy H;
+  H.FanoutLevel = Fanout;
+  H.NumPEs = 1 << 20;
+  for (unsigned L = 0; L < NumLevels; ++L)
+    H.Levels.push_back({std::string(1, static_cast<char>('A' + L)), 1, 1.0,
+                        1.0});
+  return H;
+}
 
-  std::vector<unsigned> Tiled = {K, C, H, W};
-  M.DramPerm = {K, C, H, W, P.iteratorIndex("n"), Rr, Ss};
-  M.PePerm = {C, K, W, H, P.iteratorIndex("n"), Rr, Ss};
-
-  // Assignment mirroring the mapping's trip counts (untiled iterators'
-  // whole extents at the register level).
-  Assignment A(Vars.size(), 1.0);
-  for (unsigned I = 0; I < P.numIterators(); ++I)
-    for (unsigned Lv = 0; Lv < NumTileLevels; ++Lv)
-      A[EG.tripVar(static_cast<TileLevel>(Lv), I)] =
-          static_cast<double>(M.Factors[I][Lv]);
-
-  NestProfile Prof = analyzeNest(P, M);
-  std::vector<unsigned> PeTiled = {C, K, W, H};
-  std::vector<unsigned> DramTiled = {K, C, H, W};
-  for (unsigned TI = 0; TI < 3; ++TI) {
-    TensorSymbolicModel Model = EG.buildTensorModel(TI, PeTiled, DramTiled);
-    SCOPED_TRACE(P.tensors()[TI].Name);
-    double ExpectedDram = static_cast<double>(
-        Prof.PerTensor[TI].DramToSram + Prof.PerTensor[TI].SramToDram);
-    double ExpectedSR = static_cast<double>(
-        Prof.PerTensor[TI].SramToReg + Prof.PerTensor[TI].RegToSram);
-    EXPECT_NEAR(Model.DvDram.evaluate(A), ExpectedDram,
-                1e-9 * ExpectedDram);
-    EXPECT_NEAR(Model.DvSramReg.evaluate(A), ExpectedSR, 1e-9 * ExpectedSR);
+/// A random integer mapping of \p P onto \p H with random per-level
+/// orders of the \p Tiled iterators (returned in \p TiledPerms). With
+/// \p Walked, every tiled iterator runs at least two trips at every level
+/// above the registers, so no trip-1 loop moves a hoist point; the rest
+/// of each extent, and every untiled one, splits at random between the
+/// register tile and the fan-out.
+MultiMapping randomMapping(const Problem &P, const Hierarchy &H,
+                           const std::vector<unsigned> &Tiled, bool Walked,
+                           std::vector<std::vector<unsigned>> &TiledPerms,
+                           Rng &R) {
+  const unsigned L = H.numLevels();
+  const unsigned NumIters = P.numIterators();
+  MultiMapping M = MultiMapping::untiled(P, L);
+  for (unsigned I = 0; I < NumIters; ++I) {
+    std::int64_t Rest = P.iterators()[I].Extent;
+    if (std::find(Tiled.begin(), Tiled.end(), I) != Tiled.end())
+      for (unsigned Lv = L - 1; Lv >= 1; --Lv) {
+        std::vector<std::int64_t> Trips;
+        for (std::int64_t D : divisorsOf(Rest))
+          if (!Walked || (D >= 2 && primeFactorCount(Rest / D) >= Lv - 1))
+            Trips.push_back(D);
+        M.TempFactors[Lv][I] = R.pick(Trips);
+        Rest /= M.TempFactors[Lv][I];
+      }
+    M.SpatialFactors[I] = R.pick(divisorsOf(Rest));
+    M.TempFactors[0][I] = Rest / M.SpatialFactors[I];
   }
+  TiledPerms.assign(L, {});
+  for (unsigned Lv = 1; Lv < L; ++Lv) {
+    TiledPerms[Lv] = Tiled;
+    R.shuffle(TiledPerms[Lv]);
+    M.Perms[Lv] = TiledPerms[Lv];
+    for (unsigned I = 0; I < NumIters; ++I)
+      if (std::find(Tiled.begin(), Tiled.end(), I) == Tiled.end())
+        M.Perms[Lv].push_back(I);
+  }
+  return M;
+}
+
+ConvLayer depthTestLayer(std::int64_t RS, std::int64_t Stride) {
+  ConvLayer L;
+  L.K = 16;
+  L.C = 16;
+  L.Hin = 16 * Stride;
+  L.Win = 16 * Stride;
+  L.R = RS;
+  L.S = RS;
+  L.StrideX = L.StrideY = Stride;
+  return L;
+}
+
+} // namespace
+
+TEST(ExprGen, SymbolicMatchesNestModelOnConcreteMapping) {
+  // Algorithm 1 on hierarchies of every depth, evaluated at random
+  // integer mappings' trip counts: each level's footprint is the nest
+  // model's occupancy, and each boundary's volume is its word count —
+  // exactly when every tiled loop runs at least two trips (the symbolic
+  // model is permutation-driven, the concrete one sees through trip-1
+  // loops) and strides leave no holes between consecutive tiles, an
+  // upper bound otherwise. Spatial factors, stencil dims unrolled across
+  // PEs included, are random, so the fan-out's placement directly above
+  // level F's loops is checked at every boundary it touches.
+  struct Case {
+    std::string Name;
+    Problem Prob;
+    std::vector<std::string> Tiled;
+    /// Strided: a stencil tile narrower than the stride leaves gaps.
+    bool Holes;
+  };
+  std::vector<Case> Cases = {
+      {"matmul", makeMatmulProblem(16, 16, 16), {"i", "j", "k"}, false},
+      {"conv1x1", makeConvProblem(depthTestLayer(1, 1)),
+       {"k", "c", "h", "w"}, false},
+      {"conv3x3", makeConvProblem(depthTestLayer(3, 1)),
+       {"k", "c", "h", "w"}, false},
+      {"conv3x3/2", makeConvProblem(depthTestLayer(3, 2)),
+       {"k", "c", "h", "w"}, true},
+      {"conv1x1/2", makeConvProblem(depthTestLayer(1, 2)),
+       {"k", "c", "h", "w"}, true},
+  };
+  const std::vector<std::pair<std::string, Hierarchy>> Machines = {
+      {"classic3", hierarchyShape(3, 1)},
+      {"spad4", hierarchyShape(4, 2)},
+      {"two-level", hierarchyShape(2, 1)},
+      {"fan-out at top", hierarchyShape(3, 2)},
+  };
+  Rng R(2022);
+  unsigned Exact = 0, Bounded = 0;
+  for (const auto &[MachineName, H] : Machines) {
+    for (const Case &C : Cases) {
+      SCOPED_TRACE(MachineName + " / " + C.Name);
+      const Problem &P = C.Prob;
+      std::vector<unsigned> Tiled;
+      for (const std::string &Name : C.Tiled)
+        Tiled.push_back(P.iteratorIndex(Name));
+      VarTable Vars;
+      ExprGen EG(P, H, Vars);
+      for (int Trial = 0; Trial < 24; ++Trial) {
+        // Every other trial lets trips be 1: an upper bound only.
+        const bool Walked = Trial % 2 == 0;
+        std::vector<std::vector<unsigned>> TiledPerms;
+        MultiMapping M = randomMapping(P, H, Tiled, Walked, TiledPerms, R);
+        ASSERT_TRUE(M.validate(P, H).empty()) << M.validate(P, H);
+        Assignment A(Vars.size(), 1.0);
+        for (unsigned I = 0; I < P.numIterators(); ++I) {
+          for (unsigned Lv = 0; Lv < H.numLevels(); ++Lv)
+            A[EG.tripVar(Lv, I)] = static_cast<double>(M.TempFactors[Lv][I]);
+          A[EG.spatialVar(I)] = static_cast<double>(M.SpatialFactors[I]);
+        }
+        const MultiProfile Prof = analyzeMultiNest(P, H, M);
+        std::vector<double> Occupancy(H.numLevels(), 0.0);
+        for (unsigned TI = 0; TI < P.tensors().size(); ++TI) {
+          TensorSymbolicModel Model = EG.buildTensorModel(TI, TiledPerms);
+          for (unsigned Lv = 0; Lv < H.numLevels(); ++Lv)
+            Occupancy[Lv] += Model.Footprint[Lv].evaluate(A);
+          for (unsigned B = 0; B < H.numBoundaries(); ++B) {
+            const double Words = static_cast<double>(Prof.Words[B][TI]);
+            const double Symbolic = Model.Volume[B].evaluate(A);
+            if (Walked && !C.Holes) {
+              EXPECT_EQ(Symbolic, Words)
+                  << P.tensors()[TI].Name << " boundary " << B;
+              ++Exact;
+            } else {
+              EXPECT_GE(Symbolic, Words)
+                  << P.tensors()[TI].Name << " boundary " << B;
+              ++Bounded;
+            }
+          }
+        }
+        for (unsigned Lv = 0; Lv < H.numLevels(); ++Lv)
+          EXPECT_EQ(Occupancy[Lv], static_cast<double>(Prof.Occupancy[Lv]))
+              << "level " << Lv;
+      }
+    }
+  }
+  EXPECT_GT(Exact, 0u);
+  EXPECT_GT(Bounded, 0u);
 }
 
 TEST(ExprGen, UpperBoundDominatesExactFootprint) {
@@ -298,7 +430,7 @@ TEST(ExprGen, UpperBoundDominatesExactFootprint) {
   L.S = 3;
   Problem P = makeConvProblem(L);
   VarTable Vars;
-  ExprGen EG(P, Vars);
+  ExprGen EG(P, Hierarchy::classic3Shape(), Vars);
   Rng R(5);
   for (int Trial = 0; Trial < 30; ++Trial) {
     Assignment A = randomAssignment(Vars, R);

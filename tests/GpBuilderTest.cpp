@@ -2,20 +2,26 @@
 //
 // Structural checks on the generated geometric programs: Eq. 3's shape in
 // dataflow mode, Eq. 5's extra variables/constraints in co-design mode,
-// the delay epigraph, the EDP objective, halo-bound variants, and the
-// consistency of the extracted real solution.
+// the delay epigraph, the EDP objective, halo-bound variants, the
+// consistency of the extracted real solution, and a pin on every
+// program the classic sweep generates.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ir/Builders.h"
-
-#include <cmath>
 #include "support/Rng.h"
 #include "thistle/GpBuilder.h"
+#include "thistle/PairSweep.h"
 #include "thistle/PermutationSpace.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 using namespace thistle;
 
@@ -61,7 +67,7 @@ TEST_F(GpBuilderFixture, DataflowModeStructure) {
       Prob, baseSpec(DesignMode::DataflowOnly, SearchObjective::Energy));
   EXPECT_FALSE(B.HasArchVars);
   EXPECT_FALSE(B.HasEpigraph);
-  EXPECT_TRUE(hasConstraint(B.Gp, "register capacity"));
+  EXPECT_TRUE(hasConstraint(B.Gp, "RegisterFile capacity"));
   EXPECT_TRUE(hasConstraint(B.Gp, "SRAM capacity"));
   EXPECT_TRUE(hasConstraint(B.Gp, "PE count"));
   EXPECT_FALSE(hasConstraint(B.Gp, "area"));
@@ -135,14 +141,14 @@ TEST_F(GpBuilderFixture, SolutionSatisfiesExtentEqualities) {
   ASSERT_TRUE(S.Feasible);
   RealSolution Real = extractSolution(Prob, B, Spec, S);
   for (unsigned I = 0; I < Prob.numIterators(); ++I) {
-    double Product = 1.0;
-    for (unsigned L = 0; L < NumTileLevels; ++L)
-      Product *= Real.Trips[I][L];
+    double Product = Real.Spatial[I];
+    for (const std::vector<double> &Level : Real.Trips)
+      Product *= Level[I];
     EXPECT_NEAR(Product, static_cast<double>(Prob.iterators()[I].Extent),
                 1e-6 * Product)
         << Prob.iterators()[I].Name;
   }
-  EXPECT_DOUBLE_EQ(Real.RegWords, 512.0);
+  EXPECT_DOUBLE_EQ(Real.CapacityWords[0], 512.0);
   EXPECT_DOUBLE_EQ(Real.NumPEs, 168.0);
 }
 
@@ -152,10 +158,10 @@ TEST_F(GpBuilderFixture, CoDesignSolutionRespectsArea) {
   GpSolution S = solveGp(B.Gp);
   ASSERT_TRUE(S.Feasible);
   RealSolution Real = extractSolution(Prob, B, Spec, S);
-  double Area = (Spec.Tech.AreaRegWordUm2 * Real.RegWords +
+  double Area = (Spec.Tech.AreaRegWordUm2 * Real.CapacityWords[0] +
                  Spec.Tech.AreaMacUm2) *
                     Real.NumPEs +
-                Spec.Tech.AreaSramWordUm2 * Real.SramWords;
+                Spec.Tech.AreaSramWordUm2 * Real.CapacityWords[1];
   EXPECT_LE(Area, Spec.AreaBudgetUm2 * 1.0001);
 }
 
@@ -174,26 +180,25 @@ TEST_F(GpBuilderFixture, GpOptimumIsNoWorseThanRandomFeasiblePoints) {
   unsigned Checked = 0;
   for (int Trial = 0; Trial < 200; ++Trial) {
     Assignment A(Vars.size(), 1.0);
-    // Random split of each tiled extent across the four levels.
+    // Random split of each tiled extent across its four tile loops.
     for (unsigned I : Spec.TiledIters) {
       std::int64_t Extent = Prob.iterators()[I].Extent;
-      double Levels[NumTileLevels];
+      std::vector<VarId> Loops = {B.TripVars[0][I], B.TripVars[1][I],
+                                  B.SpatialVars[I], B.TripVars[2][I]};
       double LogRemaining = std::log(static_cast<double>(Extent));
-      for (unsigned L = 0; L + 1 < NumTileLevels; ++L) {
-        Levels[L] = R.nextDouble() * LogRemaining;
-        LogRemaining -= Levels[L];
+      for (std::size_t K = 0; K + 1 < Loops.size(); ++K) {
+        double Share = R.nextDouble() * LogRemaining;
+        A[Loops[K]] = std::exp(Share);
+        LogRemaining -= Share;
       }
-      Levels[NumTileLevels - 1] = LogRemaining;
-      for (unsigned L = 0; L < NumTileLevels; ++L)
-        A[B.TripVars[L][I]] = std::exp(Levels[L]);
+      A[Loops.back()] = std::exp(LogRemaining);
     }
     // Untiled iterators: whole extent at the register level.
     for (unsigned I = 0; I < Prob.numIterators(); ++I) {
       bool Tiled = std::find(Spec.TiledIters.begin(), Spec.TiledIters.end(),
                              I) != Spec.TiledIters.end();
       if (!Tiled)
-        A[B.TripVars[static_cast<unsigned>(TileLevel::Register)][I]] =
-            static_cast<double>(Prob.iterators()[I].Extent);
+        A[B.TripVars[0][I]] = static_cast<double>(Prob.iterators()[I].Extent);
     }
     // Check feasibility against the GP's own constraints.
     bool Feasible = true;
@@ -208,4 +213,115 @@ TEST_F(GpBuilderFixture, GpOptimumIsNoWorseThanRandomFeasiblePoints) {
     EXPECT_GE(B.Gp.objective().evaluate(A), S.Objective * (1.0 - 1e-4));
   }
   EXPECT_GT(Checked, 0u) << "no random point was feasible; weak test";
+}
+
+namespace {
+
+/// Folds \p Bytes into the FNV-1a-64 hash \p H.
+void foldBytes(std::uint64_t &H, const void *Bytes, std::size_t Size) {
+  for (std::size_t I = 0; I < Size; ++I) {
+    H ^= static_cast<const unsigned char *>(Bytes)[I];
+    H *= 0x100000001b3ull;
+  }
+}
+
+template <typename T> void foldValue(std::uint64_t &H, T Value) {
+  foldBytes(H, &Value, sizeof(Value));
+}
+
+/// Folds a monomial: its coefficient and exponent bits, variable ids.
+void foldMonomial(std::uint64_t &H, const Monomial &M) {
+  foldValue(H, M.coefficient());
+  foldValue(H, M.terms().size());
+  for (const Monomial::Term &T : M.terms()) {
+    foldValue(H, T.Var);
+    foldValue(H, T.Exp);
+  }
+}
+
+/// Every field of a layer its problem depends on (not its name).
+std::string shapeKey(const ConvLayer &L) {
+  std::string Key;
+  for (std::int64_t V :
+       {L.N, L.K, L.C, L.Hin, L.Win, L.R, L.S, L.StrideX, L.StrideY,
+        L.DilationX, L.DilationY, L.Groups,
+        static_cast<std::int64_t>(L.Transposed),
+        static_cast<std::int64_t>(L.Padding)})
+    Key += std::to_string(V) + ",";
+  return Key;
+}
+
+void foldPosynomial(std::uint64_t &H, const Posynomial &P) {
+  foldValue(H, P.monomials().size());
+  for (const Monomial &M : P.monomials())
+    foldMonomial(H, M);
+}
+
+} // namespace
+
+TEST(GpBuilder, ClassicProgramsArePinned) {
+  // Every classic program, bit for bit: variable names in VarId order,
+  // every objective and constraint term in order (coefficient and
+  // exponent bits) and every equality, over the unique shapes of the
+  // four network tables, dataflow on Eyeriss and co-design at its area,
+  // all three objectives, both halo bounds and the first four planned
+  // pairs. Labels are not hashed. The constant was recorded before the
+  // builder was generalized to any hierarchy depth.
+  const TechParams Tech = TechParams::cgo45nm();
+  std::vector<ConvLayer> Shapes;
+  std::vector<std::string> Keys;
+  for (const std::vector<ConvLayer> &Network :
+       {resnet18NetworkLayers(), yolo9000NetworkLayers(),
+        mobilenetV2NetworkLayers(), dcganNetworkLayers()})
+    for (const ConvLayer &L : Network) {
+      std::string Key = shapeKey(L);
+      if (std::find(Keys.begin(), Keys.end(), Key) != Keys.end())
+        continue;
+      Keys.push_back(std::move(Key));
+      Shapes.push_back(L);
+    }
+
+  std::uint64_t Hash = 0xcbf29ce484222325ull;
+  std::size_t Programs = 0;
+  for (const ConvLayer &Shape : Shapes) {
+    const Problem Prob = makeConvProblem(Shape);
+    const LayerSweepPlan Plan = planLayerSweep(Prob, ThistleOptions());
+    for (DesignMode Mode : {DesignMode::DataflowOnly, DesignMode::CoDesign})
+      for (SearchObjective Objective :
+           {SearchObjective::Energy, SearchObjective::Delay,
+            SearchObjective::EnergyDelayProduct})
+        for (HaloBound Halo :
+             {HaloBound::DropNegative, HaloBound::ProductOfTerms})
+          for (std::size_t T = 0; T < 4 && T < Plan.Pairs.size(); ++T) {
+            GpBuildSpec Spec;
+            Spec.Mode = Mode;
+            Spec.Objective = Objective;
+            Spec.PePerm = Plan.Classes[Plan.Pairs[T].QI].Representative;
+            Spec.DramPerm = Plan.Classes[Plan.Pairs[T].SI].Representative;
+            Spec.TiledIters = Plan.TiledIters;
+            Spec.Halo = Halo;
+            Spec.Arch = eyerissArch();
+            Spec.Tech = Tech;
+            if (Mode == DesignMode::CoDesign)
+              Spec.AreaBudgetUm2 = eyerissAreaUm2(Tech);
+            const GpBuild Build = buildGp(Prob, Spec);
+            const GpProblem &Gp = Build.Gp;
+            foldValue(Hash, Gp.variables().size());
+            for (VarId V = 0; V < Gp.variables().size(); ++V) {
+              const std::string &Name = Gp.variables().nameOf(V);
+              foldBytes(Hash, Name.data(), Name.size() + 1);
+            }
+            foldPosynomial(Hash, Gp.objective());
+            foldValue(Hash, Gp.constraints().size());
+            for (const GpProblem::Constraint &C : Gp.constraints())
+              foldPosynomial(Hash, C.Lhs);
+            foldValue(Hash, Gp.equalities().size());
+            for (const GpProblem::Equality &E : Gp.equalities())
+              foldMonomial(Hash, E.Lhs);
+            ++Programs;
+          }
+  }
+  EXPECT_EQ(Shapes.size(), 59u);
+  EXPECT_EQ(Programs, 2832u);
+  EXPECT_EQ(Hash, 0x234bb7ff25ecde7dull);
 }

@@ -40,9 +40,11 @@ Hierarchy testHierarchy(unsigned NumLevels, unsigned FanoutLevel) {
   Hierarchy H;
   H.NumPEs = 64;
   H.MacEnergyPj = 2.2;
-  for (unsigned L = 0; L < NumLevels; ++L)
-    H.Levels.push_back({"L" + std::to_string(L), 1 << 20,
-                        0.5 * (L + 1), 16.0});
+  for (unsigned L = 0; L < NumLevels; ++L) {
+    std::string Name = "L";
+    Name += std::to_string(L);
+    H.Levels.push_back({Name, 1 << 20, 0.5 * (L + 1), 16.0});
+  }
   H.FanoutLevel = FanoutLevel;
   return H;
 }
@@ -105,6 +107,60 @@ TEST(Hierarchy, ValidationCatchesMistakes) {
   H = testHierarchy(3, 1);
   H.Levels[1].Bandwidth = 0.0;
   EXPECT_FALSE(H.validate().empty());
+}
+
+TEST(Hierarchy, ValidatorMessagesArePinned) {
+  // Both validators build their text only when a check fails; every
+  // message stays byte for byte.
+  auto hierarchyError = [](auto Edit) {
+    Hierarchy H = testHierarchy(3, 1);
+    Edit(H);
+    return H.validate();
+  };
+  EXPECT_EQ(testHierarchy(1, 1).validate(),
+            "hierarchy needs at least two levels");
+  EXPECT_EQ(hierarchyError([](Hierarchy &H) { H.FanoutLevel = 3; }),
+            "fan-out level 3 out of range [1, 2]");
+  EXPECT_EQ(hierarchyError([](Hierarchy &H) { H.FanoutLevel = 0; }),
+            "fan-out level 0 out of range [1, 2]");
+  EXPECT_EQ(hierarchyError([](Hierarchy &H) { H.NumPEs = 0; }),
+            "hierarchy needs at least one PE");
+  EXPECT_EQ(hierarchyError([](Hierarchy &H) { H.Levels[1].CapacityWords = 0; }),
+            "level L1 has no capacity");
+  EXPECT_EQ(
+      hierarchyError([](Hierarchy &H) { H.Levels[0].AccessEnergyPj = -1.0; }),
+      "negative access energy at level L0");
+  EXPECT_EQ(hierarchyError([](Hierarchy &H) { H.Levels[1].Bandwidth = 0.0; }),
+            "non-positive bandwidth at level L1");
+
+  const Problem P = smallConvProblem();
+  const Hierarchy H = testHierarchy(3, 1);
+  const unsigned K = P.iteratorIndex("k");
+  auto mappingError = [&](auto Edit) {
+    MultiMapping M = MultiMapping::untiled(P, 3);
+    Edit(M);
+    return M.validate(P, H);
+  };
+  EXPECT_EQ(MultiMapping::untiled(P, 2).validate(P, H),
+            "temporal factor levels do not match the hierarchy depth");
+  EXPECT_EQ(mappingError([](MultiMapping &M) { M.SpatialFactors.pop_back(); }),
+            "spatial factor arity mismatch");
+  EXPECT_EQ(mappingError([](MultiMapping &M) { M.Perms.pop_back(); }),
+            "permutation count does not match the hierarchy depth");
+  EXPECT_EQ(
+      mappingError([](MultiMapping &M) { M.TempFactors[1].pop_back(); }),
+      "temporal factor arity mismatch");
+  EXPECT_EQ(mappingError([](MultiMapping &M) { M.SpatialFactors[0] = 0; }),
+            "spatial factor < 1");
+  EXPECT_EQ(mappingError([](MultiMapping &M) { M.TempFactors[1][0] = 0; }),
+            "temporal factor < 1");
+  EXPECT_EQ(mappingError([&](MultiMapping &M) { M.TempFactors[0][K] = 5; }),
+            "iterator k factors multiply to 5, expected 4");
+  EXPECT_EQ(mappingError([](MultiMapping &M) { M.Perms[1].pop_back(); }),
+            "permutation arity mismatch");
+  EXPECT_EQ(
+      mappingError([](MultiMapping &M) { M.Perms[1][0] = M.Perms[1][1]; }),
+      "not a permutation");
 }
 
 TEST(Hierarchy, AreaPricesPrivateLevelsPerPE) {
@@ -328,35 +384,77 @@ TEST(MultiNestAnalysis, ClassicHierarchyAgreesWithFixedPipeline) {
   }
 }
 
-TEST(MultiGp, ClassicHierarchyTracksFixedOptimizer) {
-  // optimizeHierarchy on the classic machine should land near the fixed
-  // 4-level optimizer's dataflow result (same model, different search
-  // plumbing; spatial stencil unrolling is fixed-pipeline-only, so allow
-  // slack).
-  ConvLayer L;
-  L.K = 16;
-  L.C = 16;
-  L.Hin = 14;
-  L.Win = 14;
-  L.R = 3;
-  L.S = 3;
-  Problem P = makeConvProblem(L);
-  TechParams Tech = TechParams::cgo45nm();
-  ArchConfig Arch = eyerissArch();
+TEST(MultiGp, ClassicHierarchyMatchesFixedOptimizer) {
+  // On the classic machine the L-level sweep builds, solves and rounds
+  // the programs of the pair sweep, in the same order and with the same
+  // tie-break: with every combo solved and no problem symmetry for the
+  // pair sweep to prune (H != W), both return the same design, bit for
+  // bit, in dataflow mode and in co-design.
+  const TechParams Tech = TechParams::cgo45nm();
+  const ArchConfig Arch = eyerissArch();
+  const Hierarchy H = Hierarchy::classic3Level(Arch, Tech);
+  auto layer = [](std::int64_t K, std::int64_t C, std::int64_t Hin,
+                  std::int64_t Win, std::int64_t Stride,
+                  std::int64_t Groups) {
+    ConvLayer L;
+    L.K = K;
+    L.C = C;
+    L.Hin = Hin;
+    L.Win = Win;
+    L.R = 3;
+    L.S = 3;
+    L.StrideX = L.StrideY = Stride;
+    L.Groups = Groups;
+    return L;
+  };
+  const std::vector<ConvLayer> Layers = {
+      layer(16, 8, 14, 10, 1, 1),  // dense
+      layer(16, 8, 16, 12, 2, 1),  // strided
+      layer(16, 16, 14, 10, 1, 16) // depthwise
+  };
+  for (const ConvLayer &Layer : Layers)
+    for (DesignMode Mode : {DesignMode::DataflowOnly, DesignMode::CoDesign})
+      for (SearchObjective Objective :
+           {SearchObjective::Energy, SearchObjective::Delay}) {
+        SCOPED_TRACE(std::string(Layer.layerClass()) +
+                     (Mode == DesignMode::CoDesign ? " co-design" : "") +
+                     (Objective == SearchObjective::Delay ? " delay"
+                                                          : " energy"));
+        const Problem P = makeConvProblem(Layer);
+        const double Area =
+            Mode == DesignMode::CoDesign ? eyerissAreaUm2(Tech) : 0.0;
+        ThistleOptions TOpts;
+        TOpts.Mode = Mode;
+        TOpts.Objective = Objective;
+        const ThistleResult Fixed = optimizeLayer(P, Arch, Tech, TOpts, Area);
+        ASSERT_TRUE(Fixed.Found);
+        ASSERT_EQ(Fixed.Stats.PairsSkippedBySymmetry, 0u);
 
-  MultiOptions MOpts;
-  MOpts.MaxPermCombos = 16;
-  MultiResult Multi =
-      optimizeHierarchy(P, Hierarchy::classic3Level(Arch, Tech), MOpts);
-  ASSERT_TRUE(Multi.Found);
-  EXPECT_TRUE(Multi.Eval.Legal);
+        MultiOptions MOpts;
+        MOpts.Objective = Objective;
+        MOpts.CoDesignCapacities = Mode == DesignMode::CoDesign;
+        MOpts.AreaBudgetUm2 = Area;
+        MOpts.Tech = Tech;
+        MOpts.MaxPermCombos = Fixed.Stats.PairsTotal;
+        const MultiResult Multi = optimizeHierarchy(P, H, MOpts);
+        ASSERT_TRUE(Multi.Found);
+        EXPECT_EQ(Multi.Report.total(), Fixed.Stats.PairsTotal);
+        EXPECT_EQ(Multi.Report.Solved, Fixed.Report.Solved);
+        EXPECT_EQ(Multi.Report.Infeasible, Fixed.Report.Infeasible);
 
-  ThistleOptions TOpts;
-  TOpts.MaxPermClassPairs = 16;
-  ThistleResult Fixed = optimizeLayer(P, Arch, Tech, TOpts);
-  ASSERT_TRUE(Fixed.Found);
-  EXPECT_LT(Multi.Eval.EnergyPj, Fixed.Eval.EnergyPj * 1.3);
-  EXPECT_GT(Multi.Eval.EnergyPj, Fixed.Eval.EnergyPj * 0.7);
+        const Mapping Map = Multi.Map.toMapping();
+        EXPECT_EQ(Map.Factors, Fixed.Map.Factors) << Map.toString(P)
+                                                  << Fixed.Map.toString(P);
+        EXPECT_EQ(Map.PePerm, Fixed.Map.PePerm);
+        EXPECT_EQ(Map.DramPerm, Fixed.Map.DramPerm);
+        EXPECT_EQ(Multi.Arch.Levels[0].CapacityWords,
+                  Fixed.Arch.RegWordsPerPE);
+        EXPECT_EQ(Multi.Arch.Levels[1].CapacityWords, Fixed.Arch.SramWords);
+        EXPECT_EQ(Multi.Arch.NumPEs, Fixed.Arch.NumPEs);
+        EXPECT_EQ(Multi.Eval.EnergyPj, Fixed.Eval.EnergyPj);
+        EXPECT_EQ(Multi.Eval.Cycles, Fixed.Eval.Cycles);
+        EXPECT_EQ(Multi.ModelObjective, Fixed.ModelObjective);
+      }
 }
 
 TEST(MultiGp, ScratchpadHierarchyProducesLegalDesign) {

@@ -177,13 +177,6 @@ Mapping randomMapping(const Problem &P, Rng &R) {
   return Map;
 }
 
-std::vector<std::int64_t> dramTrips(const Mapping &Map) {
-  std::vector<std::int64_t> Trips;
-  for (unsigned I = 0; I < Map.Factors.size(); ++I)
-    Trips.push_back(Map.factor(I, TileLevel::DramTemporal));
-  return Trips;
-}
-
 ConvLayer convLayer(std::int64_t K, std::int64_t C, std::int64_t HW,
                     std::int64_t RS, std::int64_t Stride,
                     std::int64_t Dilation, std::int64_t Groups,
@@ -225,8 +218,8 @@ TEST(RoundingSkip, FootprintsAndDramFloorAgreeWithTheCostModel) {
   // or the objective its DRAM traffic forces reaches the incumbent's.
   // Over random mappings of every conv class, on Eyeriss and on
   // co-design candidates with small register files: footprint fit is
-  // the cost model's legality, the DRAM words are the model's (and, on
-  // shapes small enough to simulate, the simulator's) outermost-boundary
+  // the cost model's legality, the outer-boundary words are the model's
+  // (and, on shapes small enough to simulate, the simulator's) DRAM
   // count, and the floor is the model's own pricing of that traffic
   // alone, hence never above the priced objective.
   const TechParams Tech = TechParams::cgo45nm();
@@ -269,11 +262,13 @@ TEST(RoundingSkip, FootprintsAndDramFloorAgreeWithTheCostModel) {
     for (int Trial = 0; Trial < 40; ++Trial) {
       const Mapping Map = randomMapping(P, R);
       ASSERT_TRUE(Map.validate(P).empty());
-      const TileFootprint Footprint = tileFootprint(
-          P, Map.registerTileExtents(), Map.sramTileExtents());
-      const std::int64_t DramWords = dramBoundaryWords(
-          P, Map.DramPerm, dramTrips(Map), Map.sramTileExtents());
+      const std::int64_t RegWords =
+          tileFootprint(P, Map.registerTileExtents());
+      const std::int64_t SramWords = tileFootprint(P, Map.sramTileExtents());
       const MultiMapping MM = MultiMapping::fromMapping(P, Map);
+      const Hierarchy Shape = Hierarchy::classic3Shape();
+      const std::int64_t DramWords =
+          outerBoundaryWords(P, Shape, MM, MM.tileExtents(Shape, 1));
       if (Simulate && Trial < 8) {
         const MultiProfile Sim =
             simulateMultiNestProfile(P, Hierarchy::classic3Shape(), MM);
@@ -282,7 +277,10 @@ TEST(RoundingSkip, FootprintsAndDramFloorAgreeWithTheCostModel) {
       for (const ArchConfig &Arch : Archs) {
         const EvalResult Eval = evaluateMapping(P, Map, Arch, Energy);
         if (Map.numPEsUsed() <= Arch.NumPEs) {
-          EXPECT_EQ(Footprint.fits(Arch), Eval.Legal) << Eval.IllegalReason;
+          EXPECT_EQ(RegWords <= Arch.RegWordsPerPE &&
+                        SramWords <= Arch.SramWords,
+                    Eval.Legal)
+              << Eval.IllegalReason;
           ++(Eval.Legal ? Legal : Illegal);
         }
         const Hierarchy H = Hierarchy::classic3Level(Arch, Tech);
