@@ -4,6 +4,10 @@
 
 #include "support/MathUtil.h"
 
+#include <cassert>
+#include <cinttypes>
+#include <cstdio>
+
 using namespace thistle;
 
 const char *thistle::paddingName(ConvPadding Padding) {
@@ -23,6 +27,32 @@ Expected<ConvPadding> thistle::parsePadding(const std::string &Token) {
     return ConvPadding::Valid;
   return Status::invalidArgument("unknown padding '" + Token +
                                  "' (want same or valid)");
+}
+
+std::string ConvLayer::shapeKey() const {
+  char Buf[256];
+  std::snprintf(Buf, sizeof(Buf),
+                "%" PRId64 ",%" PRId64 ",%" PRId64 ",%" PRId64 ",%" PRId64
+                ",%" PRId64 ",%" PRId64 ",%" PRId64 ",%" PRId64 ",%" PRId64
+                ",%" PRId64 ",%" PRId64 ",%d,%s",
+                N, K, C, Hin, Win, R, S, StrideX, StrideY, DilationX,
+                DilationY, Groups, Transposed ? 1 : 0, paddingName(Padding));
+  return Buf;
+}
+
+ConvLayer thistle::customConvLayer(const std::vector<std::int64_t> &Dims) {
+  assert(Dims.size() >= 6 && Dims.size() <= 8 && "K,C,H,W,R,S[,x[,d]]");
+  ConvLayer L;
+  L.Name = "custom";
+  L.K = Dims[0];
+  L.C = Dims[1];
+  L.Hin = Dims[2];
+  L.Win = Dims[3];
+  L.R = Dims[4];
+  L.S = Dims[5];
+  L.StrideX = L.StrideY = Dims.size() > 6 ? Dims[6] : 1;
+  L.DilationX = L.DilationY = Dims.size() > 7 ? Dims[7] : 1;
+  return L;
 }
 
 Status ConvLayer::validate() const {

@@ -19,6 +19,7 @@
 #include "support/Status.h"
 
 #include <string>
+#include <vector>
 
 namespace thistle {
 
@@ -92,7 +93,16 @@ struct ConvLayer {
   /// Workload-class token for reports and telemetry: "transposed",
   /// "depthwise" (Groups == C > 1), "grouped", "dilated" or "dense".
   const char *layerClass() const;
+
+  /// Canonical shape signature: every field a solve can depend on, the
+  /// name excluded (network shape dedup, serve's in-flight dedup).
+  std::string shapeKey() const;
 };
+
+/// The "custom" layer of a K,C,H,W,R,S[,stride[,dilation]] list of 6 to 8
+/// values, the form `thistle-opt --layer` and the serve protocol's
+/// "layer" workload take (both axes share the stride and the dilation).
+ConvLayer customConvLayer(const std::vector<std::int64_t> &Dims);
 
 /// Builds the CNN problem of Listing 1 for \p Layer, generalized over the
 /// layer classes above (asserts Layer.validate()). Iterators appear in the

@@ -33,6 +33,9 @@
 ///                       the durable write fails outright
 ///   persist.torn-write  same keys: the payload is truncated mid-write
 ///   persist.corrupt-crc same keys: one payload byte is bit-flipped
+///   persist.kill        keyed by journal record count (1 = the first
+///                       record since the journal was opened): the
+///                       process SIGKILLs itself once it is flushed
 ///
 //===----------------------------------------------------------------------===//
 

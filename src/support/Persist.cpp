@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <array>
+#include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <system_error>
@@ -352,6 +353,7 @@ Expected<std::string> persist::readSnapshotFile(const std::string &Path,
 Status JournalWriter::open(const std::string &Path,
                            const std::string &Kind) {
   close();
+  Appended = 0;
   // Keep the existing records (the self-resume case) only when the
   // loader reads them; records appended behind a refused header or a
   // torn tail could never be read back.
@@ -399,6 +401,10 @@ Status JournalWriter::append(const std::string &Payload) {
       std::fwrite(Body.data(), 1, Body.size(), File) != Body.size() ||
       std::fwrite("\n", 1, 1, File) != 1 || std::fflush(File) != 0)
     return Status::error(StatusCode::DataLoss, "short journal append");
+  // The crash the journal exists for, at a point fixed by the record
+  // count rather than by wall-clock timing.
+  if (fault::shouldFail("persist.kill", static_cast<std::int64_t>(++Appended)))
+    std::raise(SIGKILL);
   return Status::ok();
 }
 

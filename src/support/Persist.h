@@ -35,6 +35,9 @@
 ///                        crash without the atomic rename protecting it)
 ///   persist.corrupt-crc  one payload byte is flipped after the CRC was
 ///                        computed (simulated media corruption)
+///   persist.kill         keyed by journal record count: the process
+///                        SIGKILLs itself right after that record of the
+///                        open journal is flushed (simulated crash)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -154,6 +157,7 @@ public:
 
 private:
   std::FILE *File = nullptr;
+  std::uint64_t Appended = 0; ///< Records appended since open().
 };
 
 /// What readJournalFile recovered.

@@ -256,12 +256,7 @@ void emitShards(Writer &W, const RunReportShards &S) {
   W.endObject();
 }
 
-void emitServe(Writer &W, const RunReportServe &S) {
-  W.key("serve");
-  if (!S.Present) {
-    W.value(false); // Not a thistle-serve report.
-    return;
-  }
+void emitServeObject(Writer &W, const RunReportServe &S) {
   W.beginObject();
   W.key("requests");
   W.value(S.Requests);
@@ -282,6 +277,14 @@ void emitServe(Writer &W, const RunReportServe &S) {
   W.key("compactions");
   W.value(S.Compactions);
   W.endObject();
+}
+
+void emitServe(Writer &W, const RunReportServe &S) {
+  W.key("serve");
+  if (S.Present)
+    emitServeObject(W, S);
+  else
+    W.value(false); // Not a thistle-serve report.
 }
 
 void emitMetricsAndTrace(Writer &W, const telemetry::Snapshot &T) {
@@ -363,6 +366,13 @@ std::string RunReport::toJson() const {
   emitMetricsAndTrace(W, Telemetry);
   W.endObject();
   OS << "\n";
+  return OS.str();
+}
+
+std::string thistle::serveSectionJson(const RunReportServe &S) {
+  std::ostringstream OS;
+  Writer W(OS, /*Compact=*/true);
+  emitServeObject(W, S);
   return OS.str();
 }
 

@@ -48,8 +48,8 @@ struct RunReportNetworkLayer {
 
 /// The `--network` run section: dedup/cache accounting, network totals
 /// and one row per input layer. Plain data so the support layer stays
-/// independent of the optimizer; thistle-opt copies the NetworkResult
-/// fields in.
+/// independent of the optimizer; runJob (thistle/Job.h) copies the
+/// NetworkResult fields in.
 struct RunReportNetwork {
   bool Present = false; ///< Serialized as `"network": false` when unset.
   std::uint64_t LayersTotal = 0;
@@ -134,6 +134,10 @@ struct RunReportServe {
   std::uint64_t CacheEvictions = 0;
   std::uint64_t Compactions = 0; ///< Journal→snapshot compactions.
 };
+
+/// The serve section's object alone, compact: thistle-serve's answer to
+/// the stats command.
+std::string serveSectionJson(const RunReportServe &S);
 
 /// One run of the optimizer, ready for JSON serialization.
 struct RunReport {

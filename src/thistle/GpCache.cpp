@@ -2,9 +2,11 @@
 
 #include "thistle/GpCache.h"
 
+#include "support/RunReport.h"
 #include "support/Telemetry.h"
 #include "thistle/Optimizer.h"
 
+#include <algorithm>
 #include <cstdio>
 
 using namespace thistle;
@@ -169,6 +171,21 @@ bool decodeEntry(Decoder &D, std::string &Key, GpCacheEntry &Entry) {
   return D.getDouble(Entry.Obj) && D.getDouble(Entry.ModelObjective);
 }
 
+/// Where shard I of N (0-based) of \p Dir checkpoints, minus the suffix.
+std::string shardSegment(const std::string &Dir, std::size_t ShardIndex,
+                         std::size_t ShardCount) {
+  return Dir + "/shard-" + std::to_string(ShardIndex + 1) + "-of-" +
+         std::to_string(ShardCount);
+}
+
+/// Every shard segment in \p Dir: the snapshots, then the journals.
+std::vector<std::string> shardSegmentFiles(const std::string &Dir) {
+  std::vector<std::string> Files = persist::listFiles(Dir, "shard-", ".snap");
+  for (std::string &F : persist::listFiles(Dir, "shard-", ".journal"))
+    Files.push_back(std::move(F));
+  return Files;
+}
+
 bool endsWith(const std::string &S, const char *Suffix) {
   const std::size_t N = std::char_traits<char>::length(Suffix);
   return S.size() >= N && S.compare(S.size() - N, N, Suffix) == 0;
@@ -208,11 +225,9 @@ thistle::gpCacheKeyMaterial(const Problem &Prob, const ThistleOptions &Options,
     S += ',';
   }
   S += "|opt:";
-  S += Options.Mode == DesignMode::CoDesign ? "codesign" : "dataflow";
+  S += modeName(Options.Mode);
   S += ',';
-  S += Options.Objective == SearchObjective::Energy  ? "energy"
-       : Options.Objective == SearchObjective::Delay ? "delay"
-                                                     : "edp";
+  S += objectiveName(Options.Objective);
   S += Options.SpatialUntiled ? ",su1," : ",su0,";
   S += "tiled:";
   appendIndices(S, TiledIters);
@@ -340,11 +355,17 @@ Status GpSolutionCache::saveSnapshotFile(const std::string &Path) const {
   std::string Payload;
   {
     std::lock_guard<std::mutex> Lock(Mutex);
-    // LRU-first: a sequential reload push-fronts each entry, so the
-    // last one written (the MRU) ends up back at the front.
-    for (auto It = Recency.rbegin(); It != Recency.rend(); ++It) {
+    std::vector<const std::string *> Keys;
+    Keys.reserve(Entries.size());
+    for (const auto &KV : Entries)
+      Keys.push_back(&KV.first);
+    std::sort(Keys.begin(), Keys.end(),
+              [](const std::string *A, const std::string *B) {
+                return *A < *B;
+              });
+    for (const std::string *Key : Keys) {
       Encoder E;
-      E.putString(encodeEntry(*It, Entries.at(*It).Entry));
+      E.putString(encodeEntry(*Key, Entries.at(*Key).Entry));
       Payload += E.takeBytes();
     }
   }
@@ -431,8 +452,69 @@ std::size_t GpSolutionCache::size() const {
   return Entries.size();
 }
 
-void GpSolutionCache::clear() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Entries.clear();
-  Recency.clear();
+Status GpCacheDirectory::open(GpSolutionCache &C, const std::string &D,
+                              std::size_t ShardIndex, std::size_t ShardCount,
+                              bool M) {
+  if (Status St = persist::createDirectories(D); !St.isOk())
+    return St;
+  Cache = &C;
+  Dir = D;
+  Merge = M;
+  // The shared artifacts first: the compacted snapshot, then the journal
+  // of any run that died before compacting. A shard checkpoints to its
+  // own segment pair and self-resumes from it; the shared artifacts seed
+  // it with any earlier compaction.
+  const std::string Base = Dir + "/gpcache";
+  Cache->loadFile(Base + ".snap", Loaded);
+  Cache->loadFile(Base + ".journal", Loaded);
+  const std::string Own =
+      ShardCount > 1 ? shardSegment(Dir, ShardIndex, ShardCount) : Base;
+  SnapPath = Own + ".snap";
+  JournalPath = Own + ".journal";
+  if (ShardCount > 1) {
+    Cache->loadFile(SnapPath, Loaded);
+    Cache->loadFile(JournalPath, Loaded);
+  } else if (Merge) {
+    // Recombine every shard segment. Load order is lexicographic for
+    // determinism, though it cannot matter: entries agree wherever keys
+    // collide, and first-wins keeps one copy.
+    for (const std::string &F : shardSegmentFiles(Dir))
+      Cache->loadFile(F, Loaded);
+  }
+  Journal = Cache->attachJournal(JournalPath);
+  return Status::ok();
+}
+
+Status GpCacheDirectory::compact(bool Reattach) {
+  Cache->detachJournal();
+  Status St = Cache->saveSnapshotFile(SnapPath);
+  if (St.isOk()) {
+    SnapshotWritten = true;
+    persist::removeFile(JournalPath);
+    if (Merge)
+      for (const std::string &F : shardSegmentFiles(Dir))
+        persist::removeFile(F);
+  }
+  if (Reattach)
+    Journal = Cache->attachJournal(JournalPath);
+  return St;
+}
+
+std::string GpCacheDirectory::shardReportPath(const std::string &Dir,
+                                              std::size_t ShardIndex,
+                                              std::size_t ShardCount) {
+  return shardSegment(Dir, ShardIndex, ShardCount) + "-report.json";
+}
+
+void GpCacheDirectory::report(RunReportPersistence &Out) const {
+  Out.Present = true;
+  Out.Directory = Dir;
+  Out.Capacity = Cache->capacity();
+  Out.LoadedFiles = Loaded.FilesLoaded;
+  Out.LoadedEntries = Loaded.EntriesLoaded;
+  Out.AppendFailures = Cache->journalAppendFailures();
+  Out.Evictions = Cache->evictions();
+  Out.DataLossDetected = Loaded.DataLoss;
+  Out.Problems = Loaded.Problems;
+  Out.SnapshotWritten = SnapshotWritten;
 }

@@ -17,9 +17,10 @@
 ///
 /// The cache is LRU-bounded (setCapacity; unbounded by default) and
 /// durable (docs/PERSISTENCE.md): saveSnapshotFile writes every entry
-/// atomically, attachJournal appends every *new* insert at record
-/// granularity so entries survive SIGKILL, and loadFile replays either
-/// artifact back into the cache.
+/// atomically, in key order, attachJournal appends every *new* insert at
+/// record granularity so entries survive SIGKILL, and loadFile replays
+/// either artifact back into the cache. GpCacheDirectory owns the one
+/// cache-directory lifecycle both front ends use.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +41,7 @@
 
 namespace thistle {
 
+struct RunReportPersistence;
 struct ThistleOptions;
 
 /// The replayable outcome of one pair task. Everything the task wrote
@@ -119,8 +121,10 @@ public:
   void setCapacity(std::size_t MaxEntries);
   std::size_t capacity() const;
 
-  /// Writes every entry as one atomic snapshot (LRU-first, so a
-  /// sequential reload reconstructs the recency order).
+  /// Writes every entry as one atomic snapshot, sorted by key, so the
+  /// bytes depend only on the cache's contents, never on the order
+  /// worker threads filled it. A sequential reload restores recency in
+  /// key order, which only decides what a bounded cache evicts first.
   Status saveSnapshotFile(const std::string &Path) const;
 
   /// Restores entries from a snapshot (*.snap) or journal (any other
@@ -143,7 +147,6 @@ public:
   std::uint64_t misses() const { return Misses.load(); }
   std::uint64_t evictions() const { return Evictions.load(); }
   std::size_t size() const;
-  void clear();
 
 private:
   struct Slot {
@@ -163,6 +166,49 @@ private:
   persist::JournalWriter Journal;
   std::atomic<std::uint64_t> Hits{0}, Misses{0};
   std::atomic<std::uint64_t> Evictions{0}, JournalFailures{0};
+};
+
+/// The durable state of a GpSolutionCache in one directory
+/// (docs/PERSISTENCE.md): the one lifecycle of `thistle-opt --cache-dir`
+/// and `thistle-serve --cache-dir`.
+class GpCacheDirectory {
+public:
+  /// Creates \p Dir and loads gpcache.snap, then gpcache.journal, then
+  /// this shard's segment shard-I-of-N.{snap,journal} (\p ShardCount > 1)
+  /// or, with \p Merge, every shard segment (snapshots, then journals,
+  /// by name). Then attaches the journal new entries go to: the shard's
+  /// segment or gpcache.journal. Only a directory that cannot be created
+  /// is an error; damage lands in loadStats(), a journal that cannot be
+  /// attached in journalStatus().
+  Status open(GpSolutionCache &Cache, const std::string &Dir,
+              std::size_t ShardIndex = 0, std::size_t ShardCount = 1,
+              bool Merge = false);
+
+  /// Folds the journal into one atomic snapshot and, on success, removes
+  /// it (after a merge, every shard segment too). A failed write keeps
+  /// the journal and returns the error. \p Reattach attaches the journal
+  /// again either way (periodic compaction).
+  Status compact(bool Reattach = false);
+
+  /// A shard's default run-report path in \p Dir.
+  static std::string shardReportPath(const std::string &Dir,
+                                     std::size_t ShardIndex,
+                                     std::size_t ShardCount);
+
+  const std::string &snapshotPath() const { return SnapPath; }
+  const GpCachePersistStats &loadStats() const { return Loaded; }
+  const Status &journalStatus() const { return Journal; }
+
+  /// The persistence section: loaded, appended, evicted, compacted.
+  void report(RunReportPersistence &Out) const;
+
+private:
+  GpSolutionCache *Cache = nullptr;
+  std::string Dir, SnapPath, JournalPath;
+  bool Merge = false;
+  GpCachePersistStats Loaded;
+  Status Journal;
+  bool SnapshotWritten = false;
 };
 
 } // namespace thistle

@@ -7,8 +7,6 @@
 #include "thistle/PairSweep.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -18,20 +16,6 @@
 using namespace thistle;
 
 namespace {
-
-/// Canonical shape signature for the dedup map: every field a pair-sweep
-/// result can depend on. The layer name is deliberately excluded.
-std::string shapeKey(const ConvLayer &L) {
-  char Buf[256];
-  std::snprintf(Buf, sizeof(Buf),
-                "%" PRId64 ",%" PRId64 ",%" PRId64 ",%" PRId64 ",%" PRId64
-                ",%" PRId64 ",%" PRId64 ",%" PRId64 ",%" PRId64 ",%" PRId64
-                ",%" PRId64 ",%" PRId64 ",%d,%s",
-                L.N, L.K, L.C, L.Hin, L.Win, L.R, L.S, L.StrideX, L.StrideY,
-                L.DilationX, L.DilationY, L.Groups, L.Transposed ? 1 : 0,
-                paddingName(L.Padding));
-  return Buf;
-}
 
 /// Identity of an architecture candidate: the co-design parameters plus
 /// the bandwidths (everything the dataflow re-sweep reads).
@@ -118,7 +102,7 @@ NetworkResult thistle::optimizeNetwork(const std::vector<ConvLayer> &Layers,
   std::unordered_map<std::string, std::size_t> ShapeIndexByKey;
   Result.Layers.reserve(Layers.size());
   for (const ConvLayer &L : Layers) {
-    std::string Key = shapeKey(L);
+    std::string Key = L.shapeKey();
     auto [It, Inserted] =
         ShapeIndexByKey.emplace(std::move(Key), Shapes.size());
     if (Inserted)

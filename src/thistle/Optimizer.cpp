@@ -12,6 +12,36 @@
 
 using namespace thistle;
 
+const char *thistle::modeName(DesignMode Mode) {
+  return Mode == DesignMode::CoDesign ? "codesign" : "dataflow";
+}
+
+const char *thistle::objectiveName(SearchObjective Objective) {
+  return Objective == SearchObjective::Energy  ? "energy"
+         : Objective == SearchObjective::Delay ? "delay"
+                                               : "edp";
+}
+
+bool thistle::parseMode(std::string_view Name, DesignMode &Out) {
+  for (DesignMode Mode : {DesignMode::DataflowOnly, DesignMode::CoDesign})
+    if (Name == modeName(Mode)) {
+      Out = Mode;
+      return true;
+    }
+  return false;
+}
+
+bool thistle::parseObjective(std::string_view Name, SearchObjective &Out) {
+  for (SearchObjective Objective :
+       {SearchObjective::Energy, SearchObjective::Delay,
+        SearchObjective::EnergyDelayProduct})
+    if (Name == objectiveName(Objective)) {
+      Out = Objective;
+      return true;
+    }
+  return false;
+}
+
 ThistleResult thistle::optimizeLayer(const Problem &Prob,
                                      const ArchConfig &Arch,
                                      const TechParams &Tech,

@@ -27,6 +27,7 @@
 
 #include <chrono>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace thistle {
@@ -61,6 +62,15 @@ struct ThistleOptions {
   /// far-future instant deterministically.
   std::chrono::steady_clock::time_point DeadlineAt{};
 };
+
+/// The names of the design modes ("dataflow", "codesign") and the
+/// objectives ("energy", "delay", "edp"), one table for the command
+/// line, the serve protocol, run reports and GP-cache keys.
+const char *modeName(DesignMode Mode);
+const char *objectiveName(SearchObjective Objective);
+/// Parse one of those names; false, with \p Out untouched, otherwise.
+bool parseMode(std::string_view Name, DesignMode &Out);
+bool parseObjective(std::string_view Name, SearchObjective &Out);
 
 class GpSolutionCache;
 class ThreadPool;

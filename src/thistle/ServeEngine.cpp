@@ -8,10 +8,8 @@
 
 #include "support/Json.h"
 #include "support/JsonWriter.h"
-#include "support/Persist.h"
 #include "support/Telemetry.h"
-#include "thistle/Network.h"
-#include "thistle/Optimizer.h"
+#include "thistle/Job.h"
 #include "workloads/Workloads.h"
 
 #include <chrono>
@@ -40,32 +38,13 @@ const char *statusForExit(int Exit) {
   return "error";
 }
 
-const char *modeName(DesignMode Mode) {
-  return Mode == DesignMode::CoDesign ? "codesign" : "dataflow";
-}
-
-const char *objectiveName(SearchObjective Obj) {
-  return Obj == SearchObjective::Energy  ? "energy"
-         : Obj == SearchObjective::Delay ? "delay"
-                                         : "edp";
-}
-
 } // namespace
 
-/// One admitted query plus the slot its answer lands in. Query fields
-/// are immutable after admission; the outcome fields are written by the
+/// One admitted query plus the slot its answer lands in. The request is
+/// immutable after admission; the outcome fields are written by the
 /// solver thread before Done flips, then only read.
 struct ServeEngine::SolveJob {
-  bool IsNetwork = false;
-  ConvLayer Layer;                     ///< IsNetwork == false.
-  std::string NetworkName;             ///< IsNetwork == true.
-  std::vector<ConvLayer> NetworkLayers;
-  DesignMode Mode = DesignMode::DataflowOnly;
-  SearchObjective Objective = SearchObjective::Energy;
-  unsigned Candidates = 0; ///< 0 = the rounding default.
-  std::uint64_t DeadlineMs = 0;
-  double AreaBudget = 0.0;
-  ArchConfig Arch;
+  Job Request;
   /// Canonical dedup key over every result-relevant resolved parameter
   /// (including the deadline: a budget-limited solve may legitimately
   /// answer differently from an unlimited one, so they never share).
@@ -92,17 +71,18 @@ namespace {
 /// overflows the layer arithmetic or the deadline clock.
 constexpr std::uint64_t MaxQueryCount = 2147483647;
 
-/// Parses the "workload" member into the job. Mirrors thistle-opt's
-/// --layer/--resnet/--yolo/--network handling, including the workload
-/// names that end up in the run report.
-Status parseWorkload(const JsonValue &W, ServeEngine::SolveJob &Job) {
+/// Parses the "workload" member into the job: the query form of
+/// thistle-opt's --layer/--resnet/--yolo/--network, with the same
+/// workload names in the run report.
+Status parseWorkload(const JsonValue &W, Job &J) {
   if (!W.isObject())
     return Status::invalidArgument("\"workload\" must be an object");
   if (W.members().size() != 1)
     return Status::invalidArgument(
         "\"workload\" wants exactly one of layer/resnet/yolo/network");
   const auto &[Kind, V] = W.members().front();
-  auto parseLayerDims = [&Job](const JsonValue &A) -> Status {
+  ConvLayer Layer;
+  auto parseLayerDims = [&Layer](const JsonValue &A) -> Status {
     if (!A.isArray() || A.array().size() < 6 || A.array().size() > 8)
       return Status::invalidArgument(
           "\"layer\" wants [K,C,H,W,R,S[,stride[,dilation]]]");
@@ -115,16 +95,7 @@ Status parseWorkload(const JsonValue &W, ServeEngine::SolveJob &Job) {
             std::to_string(MaxQueryCount));
       Dims.push_back(static_cast<std::int64_t>(N));
     }
-    Job.Layer.Name = "custom";
-    Job.Layer.K = Dims[0];
-    Job.Layer.C = Dims[1];
-    Job.Layer.Hin = Dims[2];
-    Job.Layer.Win = Dims[3];
-    Job.Layer.R = Dims[4];
-    Job.Layer.S = Dims[5];
-    Job.Layer.StrideX = Job.Layer.StrideY = Dims.size() > 6 ? Dims[6] : 1;
-    Job.Layer.DilationX = Job.Layer.DilationY =
-        Dims.size() > 7 ? Dims[7] : 1;
+    Layer = customConvLayer(Dims);
     return Status::ok();
   };
   if (Kind == "layer") {
@@ -134,6 +105,7 @@ Status parseWorkload(const JsonValue &W, ServeEngine::SolveJob &Job) {
     // the layer passes the same ConvLayer::validate() the CLI uses.
     if (V.isObject()) {
       const JsonValue *Dims = nullptr;
+      ConvLayer Modifiers; ///< Groups, Transposed and Padding only.
       for (const auto &[LK, LV] : V.members()) {
         if (LK == "dims") {
           Dims = &LV;
@@ -143,12 +115,12 @@ Status parseWorkload(const JsonValue &W, ServeEngine::SolveJob &Job) {
             return Status::invalidArgument(
                 "\"layer.groups\" wants an integer in 1.." +
                 std::to_string(MaxQueryCount));
-          Job.Layer.Groups = static_cast<std::int64_t>(N);
+          Modifiers.Groups = static_cast<std::int64_t>(N);
         } else if (LK == "transposed") {
           if (!LV.isBool())
             return Status::invalidArgument(
                 "\"layer.transposed\" wants a boolean");
-          Job.Layer.Transposed = LV.boolean();
+          Modifiers.Transposed = LV.boolean();
         } else if (LK == "padding") {
           if (!LV.isString())
             return Status::invalidArgument(
@@ -158,7 +130,7 @@ Status parseWorkload(const JsonValue &W, ServeEngine::SolveJob &Job) {
             Status St = P.status();
             return St.withContext("\"layer.padding\"");
           }
-          Job.Layer.Padding = P.value();
+          Modifiers.Padding = P.value();
         } else {
           return Status::invalidArgument("unknown layer field '" + LK +
                                          "'");
@@ -168,12 +140,15 @@ Status parseWorkload(const JsonValue &W, ServeEngine::SolveJob &Job) {
         return Status::invalidArgument("\"layer\" object needs \"dims\"");
       if (Status St = parseLayerDims(*Dims); !St.isOk())
         return St;
+      Layer.Groups = Modifiers.Groups;
+      Layer.Transposed = Modifiers.Transposed;
+      Layer.Padding = Modifiers.Padding;
     } else if (Status St = parseLayerDims(V); !St.isOk()) {
       return St;
     }
-    return Job.Layer.validate();
-  }
-  if (Kind == "resnet" || Kind == "yolo") {
+    if (Status St = Layer.validate(); !St.isOk())
+      return St;
+  } else if (Kind == "resnet" || Kind == "yolo") {
     std::vector<ConvLayer> Layers =
         Kind == "resnet" ? resnet18Layers() : yolo9000Layers();
     std::uint64_t N = 0;
@@ -181,41 +156,32 @@ Status parseWorkload(const JsonValue &W, ServeEngine::SolveJob &Job) {
       return Status::invalidArgument("\"" + Kind + "\" index out of range "
                                      "(1-" + std::to_string(Layers.size()) +
                                      ")");
-    Job.Layer = Layers[static_cast<std::size_t>(N - 1)];
-    return Status::ok();
-  }
-  if (Kind == "network") {
+    Layer = Layers[static_cast<std::size_t>(N - 1)];
+  } else if (Kind == "network") {
     if (!V.isString())
       return Status::invalidArgument("\"network\" wants a string");
-    const std::string &Name = V.string();
-    if (Name == "resnet18")
-      Job.NetworkLayers = resnet18NetworkLayers();
-    else if (Name == "yolo9000")
-      Job.NetworkLayers = yolo9000NetworkLayers();
-    else if (Name == "mobilenetv2")
-      Job.NetworkLayers = mobilenetV2NetworkLayers();
-    else if (Name == "dcgan")
-      Job.NetworkLayers = dcganNetworkLayers();
-    else if (Name == "all")
-      Job.NetworkLayers = allNetworkLayers();
-    else
-      return Status::invalidArgument("unknown network '" + Name + "'");
-    Job.IsNetwork = true;
-    Job.NetworkName = Name;
+    if (!networkLayersByName(V.string(), J.Layers))
+      return Status::invalidArgument("unknown network '" + V.string() + "'");
+    J.Kind = JobKind::Network;
+    J.Name = "network:" + V.string();
     return Status::ok();
+  } else {
+    return Status::invalidArgument("unknown workload kind '" + Kind + "'");
   }
-  return Status::invalidArgument("unknown workload kind '" + Kind + "'");
+  J.Kind = JobKind::Layer;
+  J.Name = Layer.Name;
+  J.Layers = {std::move(Layer)};
+  return Status::ok();
 }
 
-/// Parses and validates one "query" object into \p Job and builds its
-/// canonical dedup key. Strict about unknown members so client typos
+/// Parses and validates one "query" object into \p Solve's request and
+/// builds its canonical dedup key. Strict about unknown members so client typos
 /// (e.g. "deadline" for "deadline_ms") surface as errors, not silently
 /// different queries.
-Status parseQuery(const JsonValue &Q, const TechParams &Tech,
-                  ServeEngine::SolveJob &Job) {
+Status parseQuery(const JsonValue &Q, ServeEngine::SolveJob &Solve) {
   if (!Q.isObject())
     return Status::invalidArgument("\"query\" must be an object");
-  Job.Arch = eyerissArch();
+  Job &J = Solve.Request;
 
   const JsonValue *Workload = nullptr;
   for (const auto &[K, V] : Q.members()) {
@@ -224,22 +190,12 @@ Status parseQuery(const JsonValue &Q, const TechParams &Tech,
     } else if (K == "mode") {
       if (!V.isString())
         return Status::invalidArgument("\"mode\" wants a string");
-      if (V.string() == "dataflow")
-        Job.Mode = DesignMode::DataflowOnly;
-      else if (V.string() == "codesign")
-        Job.Mode = DesignMode::CoDesign;
-      else
+      if (!parseMode(V.string(), J.Options.Mode))
         return Status::invalidArgument("unknown mode '" + V.string() + "'");
     } else if (K == "objective") {
       if (!V.isString())
         return Status::invalidArgument("\"objective\" wants a string");
-      if (V.string() == "energy")
-        Job.Objective = SearchObjective::Energy;
-      else if (V.string() == "delay")
-        Job.Objective = SearchObjective::Delay;
-      else if (V.string() == "edp")
-        Job.Objective = SearchObjective::EnergyDelayProduct;
-      else
+      if (!parseObjective(V.string(), J.Options.Objective))
         return Status::invalidArgument("unknown objective '" + V.string() +
                                        "'");
     } else if (K == "candidates") {
@@ -248,19 +204,19 @@ Status parseQuery(const JsonValue &Q, const TechParams &Tech,
         return Status::invalidArgument(
             "\"candidates\" wants an integer in 1.." +
             std::to_string(MaxRoundingCandidates));
-      Job.Candidates = static_cast<unsigned>(N);
+      J.Options.Rounding.NumCandidates = static_cast<unsigned>(N);
     } else if (K == "deadline_ms") {
       std::uint64_t N = 0;
       if (!V.asUint(N) || N < 1 || N > MaxQueryCount)
         return Status::invalidArgument(
             "\"deadline_ms\" wants a millisecond count in 1.." +
             std::to_string(MaxQueryCount));
-      Job.DeadlineMs = N;
+      J.Options.Deadline = std::chrono::milliseconds(N);
     } else if (K == "area_budget") {
       if (!V.isNumber() || V.number() <= 0.0)
         return Status::invalidArgument(
             "\"area_budget\" wants a positive um^2 area");
-      Job.AreaBudget = V.number();
+      J.AreaBudget = V.number();
     } else if (K == "arch") {
       if (!V.isObject())
         return Status::invalidArgument("\"arch\" must be an object");
@@ -271,11 +227,11 @@ Status parseQuery(const JsonValue &Q, const TechParams &Tech,
                                          "\" wants an integer in 1.." +
                                          std::to_string(MaxQueryCount));
         if (AK == "pes")
-          Job.Arch.NumPEs = static_cast<std::int64_t>(N);
+          J.Arch.NumPEs = static_cast<std::int64_t>(N);
         else if (AK == "regs")
-          Job.Arch.RegWordsPerPE = static_cast<std::int64_t>(N);
+          J.Arch.RegWordsPerPE = static_cast<std::int64_t>(N);
         else if (AK == "sram_words")
-          Job.Arch.SramWords = static_cast<std::int64_t>(N);
+          J.Arch.SramWords = static_cast<std::int64_t>(N);
         else
           return Status::invalidArgument("unknown arch field '" + AK + "'");
       }
@@ -285,46 +241,29 @@ Status parseQuery(const JsonValue &Q, const TechParams &Tech,
   }
   if (!Workload)
     return Status::invalidArgument("\"query\" needs a \"workload\"");
-  if (Status St = parseWorkload(*Workload, Job); !St.isOk())
+  if (Status St = parseWorkload(*Workload, J); !St.isOk())
     return St;
-
-  // CoDesign defaults the area budget to the Eyeriss area, exactly as
-  // thistle-opt does. Resolving before the key is built lets an
+  // Resolving the default budget before the key is built lets an
   // explicit equal budget share the in-flight solve.
-  if (Job.Mode == DesignMode::CoDesign && Job.AreaBudget == 0.0)
-    Job.AreaBudget = eyerissAreaUm2(Tech);
+  resolveAreaBudget(J);
 
-  // The layer part of the key covers every ConvLayer field the solve can
-  // depend on — both stride/dilation axes, groups, transposed and the
-  // padding convention — so distinct general-conv queries never share an
-  // in-flight solve.
-  std::string Key =
-      Job.IsNetwork ? "network:" + Job.NetworkName
-                    : "layer:" + std::to_string(Job.Layer.K) + "," +
-                          std::to_string(Job.Layer.C) + "," +
-                          std::to_string(Job.Layer.Hin) + "," +
-                          std::to_string(Job.Layer.Win) + "," +
-                          std::to_string(Job.Layer.R) + "," +
-                          std::to_string(Job.Layer.S) + "," +
-                          std::to_string(Job.Layer.StrideX) + "," +
-                          std::to_string(Job.Layer.StrideY) + "," +
-                          std::to_string(Job.Layer.DilationX) + "," +
-                          std::to_string(Job.Layer.DilationY) + "," +
-                          std::to_string(Job.Layer.Groups) + "," +
-                          (Job.Layer.Transposed ? "t" : "d") + "," +
-                          paddingName(Job.Layer.Padding) + ":" +
-                          Job.Layer.Name;
+  // A layer's shape key covers every ConvLayer field the solve can
+  // depend on, so distinct general-conv queries never share a solve; the
+  // name is the report's workload name.
+  std::string Key = J.Name;
+  if (J.Kind == JobKind::Layer)
+    Key = "layer:" + J.Layers.front().shapeKey() + ":" + J.Name;
   Key += "|mode=";
-  Key += modeName(Job.Mode);
+  Key += modeName(J.Options.Mode);
   Key += "|obj=";
-  Key += objectiveName(Job.Objective);
-  Key += "|cand=" + std::to_string(Job.Candidates);
-  Key += "|area=" + json::number(Job.AreaBudget);
-  Key += "|pes=" + std::to_string(Job.Arch.NumPEs);
-  Key += "|regs=" + std::to_string(Job.Arch.RegWordsPerPE);
-  Key += "|sram=" + std::to_string(Job.Arch.SramWords);
-  Key += "|deadline=" + std::to_string(Job.DeadlineMs);
-  Job.Key = std::move(Key);
+  Key += objectiveName(J.Options.Objective);
+  Key += "|cand=" + std::to_string(J.Options.Rounding.NumCandidates);
+  Key += "|area=" + json::number(J.AreaBudget);
+  Key += "|pes=" + std::to_string(J.Arch.NumPEs);
+  Key += "|regs=" + std::to_string(J.Arch.RegWordsPerPE);
+  Key += "|sram=" + std::to_string(J.Arch.SramWords);
+  Key += "|deadline=" + std::to_string(J.Options.Deadline.count());
+  Solve.Key = std::move(Key);
   return Status::ok();
 }
 
@@ -414,27 +353,18 @@ std::string idJsonOf(const JsonValue &Root) {
 } // namespace
 
 ServeEngine::ServeEngine(ServeOptions Options)
-    : Opts(std::move(Options)), Pool(Opts.Threads),
-      Tech(TechParams::cgo45nm()) {}
+    : Opts(std::move(Options)), Pool(Opts.Threads) {}
 
 ServeEngine::~ServeEngine() { shutdown(); }
 
 Status ServeEngine::start() {
   Cache.setCapacity(static_cast<std::size_t>(Opts.CacheCapacity));
   if (!Opts.CacheDir.empty()) {
-    if (Status St = persist::createDirectories(Opts.CacheDir); !St.isOk())
+    if (Status St = Durable.open(Cache, Opts.CacheDir); !St.isOk())
       return St.withContext("creating cache directory");
-    SnapPath = Opts.CacheDir + "/gpcache.snap";
-    JournalPath = Opts.CacheDir + "/gpcache.journal";
-    // The compacted snapshot first, then the journal of any process
-    // that died before compacting — the same artifacts, in the same
-    // order, as thistle-opt --cache-dir.
-    Cache.loadFile(SnapPath, LoadStats);
-    Cache.loadFile(JournalPath, LoadStats);
-    if (Status St = Cache.attachJournal(JournalPath); !St.isOk())
-      LoadStats.Problems.push_back("no checkpoint journal: " +
-                                   St.toString());
-    Persist = true;
+    if (!Durable.journalStatus().isOk())
+      JournalProblems.push_back("no checkpoint journal: " +
+                                Durable.journalStatus().toString());
   }
   {
     std::lock_guard<std::mutex> L(JobsMutex);
@@ -460,14 +390,8 @@ void ServeEngine::shutdown() {
   // Final compaction: fold the journal into one atomic snapshot and
   // drop it. On failure the journal is kept — nothing is lost, the
   // next start replays it.
-  if (Persist) {
-    Cache.detachJournal();
-    if (Cache.saveSnapshotFile(SnapPath).isOk()) {
-      SnapshotWritten = true;
-      persist::removeFile(JournalPath);
-      ++Compactions;
-    }
-  }
+  if (!Opts.CacheDir.empty() && Durable.compact().isOk())
+    ++Compactions;
 }
 
 void ServeEngine::setHoldForTest(bool H) {
@@ -485,6 +409,7 @@ std::size_t ServeEngine::queuedForTest() const {
 
 ServeStats ServeEngine::stats() const {
   ServeStats S;
+  S.Present = true;
   S.Requests = Requests.load();
   S.Queries = Queries.load();
   S.Errors = Errors.load();
@@ -498,28 +423,12 @@ ServeStats ServeEngine::stats() const {
 }
 
 void ServeEngine::fillReport(RunReport &RR) const {
-  ServeStats S = stats();
-  RR.Serve.Present = true;
-  RR.Serve.Requests = S.Requests;
-  RR.Serve.Queries = S.Queries;
-  RR.Serve.Errors = S.Errors;
-  RR.Serve.Deduplicated = S.Deduplicated;
-  RR.Serve.Solves = S.Solves;
-  RR.Serve.CacheHits = S.CacheHits;
-  RR.Serve.CacheMisses = S.CacheMisses;
-  RR.Serve.CacheEvictions = S.CacheEvictions;
-  RR.Serve.Compactions = S.Compactions;
-  if (Persist) {
-    RR.Persistence.Present = true;
-    RR.Persistence.Directory = Opts.CacheDir;
-    RR.Persistence.Capacity = Opts.CacheCapacity;
-    RR.Persistence.LoadedFiles = LoadStats.FilesLoaded;
-    RR.Persistence.LoadedEntries = LoadStats.EntriesLoaded;
-    RR.Persistence.AppendFailures = Cache.journalAppendFailures();
-    RR.Persistence.Evictions = Cache.evictions();
-    RR.Persistence.DataLossDetected = LoadStats.DataLoss;
-    RR.Persistence.Problems = LoadStats.Problems;
-    RR.Persistence.SnapshotWritten = SnapshotWritten;
+  RR.Serve = stats();
+  if (!Opts.CacheDir.empty()) {
+    Durable.report(RR.Persistence);
+    RR.Persistence.Problems.insert(RR.Persistence.Problems.end(),
+                                   JournalProblems.begin(),
+                                   JournalProblems.end());
   }
 }
 
@@ -536,7 +445,17 @@ void ServeEngine::solverLoop() {
       Job = Queue.front();
       Queue.pop_front();
     }
-    runJob(*Job);
+    const std::uint64_t H0 = Cache.hits(), M0 = Cache.misses(),
+                        E0 = Cache.evictions();
+    JobResult R = runJob(Job->Request, &Cache, &Pool);
+    R.Report.Tool = "thistle-serve";
+    if (R.ExitCode != 2)
+      Job->CanonicalReport = R.Report.toCanonicalJson();
+    Job->ExitCode = R.ExitCode;
+    Job->Error = std::move(R.Error);
+    Job->DHits = Cache.hits() - H0;
+    Job->DMisses = Cache.misses() - M0;
+    Job->DEvict = Cache.evictions() - E0;
     // Count before signaling so the totals are settled by the time any
     // waiter reads them off its response.
     std::uint64_t N = ++Solves;
@@ -552,134 +471,17 @@ void ServeEngine::solverLoop() {
       Job->Done = true;
     }
     Job->Cv.notify_all();
-    if (Persist && Opts.SnapshotEvery && N % Opts.SnapshotEvery == 0) {
+    if (!Opts.CacheDir.empty() && Opts.SnapshotEvery &&
+        N % Opts.SnapshotEvery == 0) {
       // Periodic compaction, from the solver thread so it never races a
       // journal append.
-      Cache.detachJournal();
-      if (Cache.saveSnapshotFile(SnapPath).isOk()) {
-        SnapshotWritten = true;
-        persist::removeFile(JournalPath);
+      if (Durable.compact(/*Reattach=*/true).isOk())
         ++Compactions;
-      }
-      if (Status St = Cache.attachJournal(JournalPath); !St.isOk())
-        LoadStats.Problems.push_back("re-attaching journal: " +
-                                     St.toString());
+      if (!Durable.journalStatus().isOk())
+        JournalProblems.push_back("re-attaching journal: " +
+                                  Durable.journalStatus().toString());
     }
   }
-}
-
-void ServeEngine::runJob(SolveJob &Job) {
-  const std::uint64_t H0 = Cache.hits(), M0 = Cache.misses(),
-                      E0 = Cache.evictions();
-
-  ThistleOptions Opt;
-  Opt.Mode = Job.Mode;
-  Opt.Objective = Job.Objective;
-  if (Job.Candidates)
-    Opt.Rounding.NumCandidates = Job.Candidates;
-  if (Job.DeadlineMs)
-    Opt.Deadline = std::chrono::milliseconds(Job.DeadlineMs);
-
-  RunReport RR;
-  RR.Tool = "thistle-serve";
-  RR.Mode = modeName(Job.Mode);
-  RR.Objective = objectiveName(Job.Objective);
-  RR.Hierarchy = "classic3";
-  RR.Threads = Pool.numWorkers();
-
-  int Exit = 0;
-  if (!Job.IsNetwork) {
-    RR.Workload = Job.Layer.Name;
-    Problem Prob = makeConvProblem(Job.Layer);
-    LayerRunContext Run;
-    Run.Cache = &Cache;
-    Run.Pool = &Pool;
-    ThistleResult R =
-        optimizeLayer(Prob, Job.Arch, Tech, Opt, Run, Job.AreaBudget);
-    if (!R.InputStatus.isOk()) {
-      Job.Error = R.InputStatus.toString();
-      Exit = 2;
-    } else {
-      RR.HasSweep = true;
-      RR.SweepTaskNoun = "pair";
-      RR.Sweep = std::move(R.Report);
-      if (!R.Found) {
-        Exit = 3;
-      } else {
-        RR.Found = true;
-        RR.EnergyPj = R.Eval.EnergyPj;
-        RR.EnergyPerMacPj = R.Eval.EnergyPerMacPj;
-        RR.Cycles = R.Eval.Cycles;
-        RR.MacIpc = R.Eval.MacIpc;
-        RR.EdpPjCycles = R.Eval.EdpPjCycles;
-        Exit = RR.Sweep.clean() ? 0 : 1;
-      }
-    }
-  } else {
-    RR.Workload = "network:" + Job.NetworkName;
-    NetworkOptions NO;
-    NO.Layer = Opt;
-    NO.Cache = &Cache;
-    NO.Pool = &Pool;
-    NetworkResult R =
-        optimizeNetwork(Job.NetworkLayers, Job.Arch, Tech, NO,
-                        Job.AreaBudget);
-    if (!R.InputStatus.isOk()) {
-      Job.Error = R.InputStatus.toString();
-      Exit = 2;
-    } else {
-      RR.HasSweep = true;
-      RR.SweepTaskNoun = "pair";
-      RR.Sweep = SweepReport(R.Report);
-      RR.Found = R.Found;
-      RR.Network.Present = true;
-      RR.Network.LayersTotal = R.Stats.LayersTotal;
-      RR.Network.LayersFound = R.LayersFound;
-      RR.Network.UniqueShapes = R.Stats.UniqueShapes;
-      RR.Network.CacheEnabled = true;
-      RR.Network.CacheHits = R.Stats.CacheHits;
-      RR.Network.CacheMisses = R.Stats.CacheMisses;
-      RR.Network.ArchCandidates = R.Stats.ArchCandidates;
-      RR.Network.SummedObjective = R.Totals.SummedObjective;
-      RR.Network.TotalEnergyPj = R.Totals.EnergyPj;
-      RR.Network.TotalCycles = R.Totals.Cycles;
-      RR.Network.TotalEdpPjCycles = R.Totals.EdpPjCycles;
-      RR.Network.EnergyPerMacPj = R.Totals.EnergyPerMacPj;
-      RR.Network.Macs = static_cast<std::uint64_t>(R.Totals.Macs);
-      RR.EnergyPj = R.Totals.EnergyPj;
-      RR.EnergyPerMacPj = R.Totals.EnergyPerMacPj;
-      RR.Cycles = R.Totals.Cycles;
-      RR.EdpPjCycles = R.Totals.EdpPjCycles;
-      for (const NetworkLayerResult &L : R.Layers) {
-        RunReportNetworkLayer Row;
-        Row.Name = L.Name;
-        Row.ShapeIndex = L.ShapeIndex;
-        Row.Multiplicity = L.Multiplicity;
-        Row.Deduplicated = L.Deduplicated;
-        Row.Found = L.Result.Found;
-        if (L.Result.Found) {
-          Row.EnergyPj = L.Result.Eval.EnergyPj;
-          Row.Cycles = L.Result.Eval.Cycles;
-        }
-        RR.Network.Layers.push_back(std::move(Row));
-      }
-      if (R.LayersFound == 0) {
-        Exit = 3;
-      } else {
-        Exit = RR.Sweep.clean() ? 0 : 1;
-        if (!R.Found)
-          Exit = 1;
-      }
-    }
-  }
-
-  RR.ExitCode = Exit;
-  if (Exit != 2)
-    Job.CanonicalReport = RR.toCanonicalJson();
-  Job.ExitCode = Exit;
-  Job.DHits = Cache.hits() - H0;
-  Job.DMisses = Cache.misses() - M0;
-  Job.DEvict = Cache.evictions() - E0;
 }
 
 std::string ServeEngine::handleLine(const std::string &Line) {
@@ -717,31 +519,8 @@ std::string ServeEngine::handleLine(const std::string &Line) {
       return buildEnvelope(IdJson, 0, "", "", "", S);
     }
     if (Cmd->string() == "stats") {
-      ServeStats St = stats();
-      std::ostringstream OS;
-      json::Writer W(OS, /*Compact=*/true);
-      W.beginObject();
-      W.key("requests");
-      W.value(St.Requests);
-      W.key("queries");
-      W.value(St.Queries);
-      W.key("errors");
-      W.value(St.Errors);
-      W.key("deduplicated");
-      W.value(St.Deduplicated);
-      W.key("solves");
-      W.value(St.Solves);
-      W.key("cache_hits");
-      W.value(St.CacheHits);
-      W.key("cache_misses");
-      W.value(St.CacheMisses);
-      W.key("cache_evictions");
-      W.value(St.CacheEvictions);
-      W.key("compactions");
-      W.value(St.Compactions);
-      W.endObject();
       S.LatencyMs = latency();
-      return buildEnvelope(IdJson, 0, "", "", OS.str(), S);
+      return buildEnvelope(IdJson, 0, "", "", serveSectionJson(stats()), S);
     }
     if (Cmd->string() == "shutdown") {
       ShutdownFlag.store(true);
@@ -766,7 +545,7 @@ std::string ServeEngine::handleLine(const std::string &Line) {
   }
 
   auto Fresh = std::make_shared<SolveJob>();
-  if (Status St = parseQuery(*Query, Tech, *Fresh); !St.isOk())
+  if (Status St = parseQuery(*Query, *Fresh); !St.isOk())
     return errorOut(IdJson, St.toString());
   ++Queries;
   telemetry::count("thistle.serve.queries");

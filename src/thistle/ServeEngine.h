@@ -22,7 +22,10 @@
 /// concurrent requests. It follows from the replay invariant of
 /// GpSolutionCache: a hit reproduces the cold solve bit-for-bit.
 ///
-/// Durable state follows thistle-opt's lifecycle: start() loads
+/// A query builds the same Job (thistle/Job.h) as the equivalent
+/// thistle-opt flags, and the solver thread answers it with the same
+/// runJob, so the embedded report is thistle-opt's by construction.
+/// Durable state is thistle-opt's GpCacheDirectory: start() loads
 /// `gpcache.snap` + `gpcache.journal` from the cache directory and
 /// attaches the journal; every SnapshotEvery solves (and at shutdown)
 /// the journal is compacted into a fresh atomic snapshot.
@@ -46,6 +49,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 namespace thistle {
 
@@ -68,17 +72,9 @@ struct ServeOptions {
   unsigned SnapshotEvery = 0;
 };
 
-/// Lifetime totals of one engine (the `serve` run-report section).
-struct ServeStats {
-  std::uint64_t Requests = 0;
-  std::uint64_t Queries = 0;
-  std::uint64_t Errors = 0;
-  std::uint64_t Deduplicated = 0;
-  std::uint64_t Solves = 0;
-  std::uint64_t CacheHits = 0, CacheMisses = 0;
-  std::uint64_t CacheEvictions = 0;
-  std::uint64_t Compactions = 0;
-};
+/// Lifetime totals of one engine: the `serve` run-report section, which
+/// the stats command also answers with.
+using ServeStats = RunReportServe;
 
 /// The request engine. Thread-safe: handleLine may be called from any
 /// number of connection threads concurrently.
@@ -130,17 +126,14 @@ public:
 
 private:
   void solverLoop();
-  void runJob(SolveJob &Job);
 
   ServeOptions Opts;
   GpSolutionCache Cache;
   ThreadPool Pool;
-  TechParams Tech;
 
-  bool Persist = false;
-  std::string SnapPath, JournalPath;
-  GpCachePersistStats LoadStats;
-  bool SnapshotWritten = false;
+  GpCacheDirectory Durable; ///< Open when Opts.CacheDir is set.
+  /// Journal (re)attach failures, reported after the load problems.
+  std::vector<std::string> JournalProblems;
 
   mutable std::mutex JobsMutex;
   std::unordered_map<std::string, std::shared_ptr<SolveJob>> InFlight;

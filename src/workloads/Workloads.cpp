@@ -2,6 +2,8 @@
 
 #include "workloads/Workloads.h"
 
+#include <utility>
+
 using namespace thistle;
 
 namespace {
@@ -204,6 +206,22 @@ std::vector<ConvLayer> thistle::dcganLayers() {
 }
 
 std::vector<ConvLayer> thistle::dcganNetworkLayers() { return dcganLayers(); }
+
+bool thistle::networkLayersByName(std::string_view Name,
+                                  std::vector<ConvLayer> &Out) {
+  static constexpr std::pair<std::string_view, std::vector<ConvLayer> (*)()>
+      Networks[] = {{"resnet18", resnet18NetworkLayers},
+                    {"yolo9000", yolo9000NetworkLayers},
+                    {"mobilenetv2", mobilenetV2NetworkLayers},
+                    {"dcgan", dcganNetworkLayers},
+                    {"all", allNetworkLayers}};
+  for (const auto &[Known, Layers] : Networks)
+    if (Name == Known) {
+      Out = Layers();
+      return true;
+    }
+  return false;
+}
 
 ArchConfig thistle::eyerissArch() {
   ArchConfig Arch;

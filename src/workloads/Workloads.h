@@ -19,6 +19,7 @@
 #include "ir/Builders.h"
 #include "model/TechModel.h"
 
+#include <string_view>
 #include <vector>
 
 namespace thistle {
@@ -66,6 +67,11 @@ std::vector<ConvLayer> dcganLayers();
 
 /// The DCGAN table as a network pipeline (each stage once).
 std::vector<ConvLayer> dcganNetworkLayers();
+
+/// The network pipelines by the name `--network` and the serve
+/// protocol's "network" workload take: resnet18, yolo9000, mobilenetv2,
+/// dcgan and all (resnet18 + yolo9000). False for an unknown name.
+bool networkLayersByName(std::string_view Name, std::vector<ConvLayer> &Out);
 
 /// The Eyeriss architectural parameters used as the paper's baseline.
 ArchConfig eyerissArch();

@@ -341,8 +341,8 @@ TEST(NetworkPersist, SnapshotReloadReplaysBitIdentically) {
 
 TEST(NetworkPersist, SnapshotResavesByteIdentically) {
   // Loading a snapshot and saving it again writes the same bytes: entry
-  // encoding and decoding are symmetric, and a sequential reload rebuilds
-  // the least-recently-used-first order the snapshot was written in.
+  // encoding and decoding are symmetric, and both saves write in key
+  // order.
   const std::string First = ::testing::TempDir() + "/netpersist-resave1.snap";
   const std::string Second = ::testing::TempDir() + "/netpersist-resave2.snap";
   auto slurp = [](const std::string &Path) {
@@ -368,6 +368,33 @@ TEST(NetworkPersist, SnapshotResavesByteIdentically) {
   EXPECT_TRUE(Bytes == slurp(Second)) << "re-saved snapshot differs";
   persist::removeFile(First);
   persist::removeFile(Second);
+}
+
+TEST(NetworkPersist, SnapshotBytesDependOnlyOnContents) {
+  // A snapshot is written in key order, so its bytes do not depend on
+  // the order worker threads finished their tasks: two 4-thread fills and
+  // a 1-thread fill of the same network write the same file.
+  auto fillAndSave = [](unsigned Threads, const std::string &Path) {
+    GpSolutionCache Cache;
+    NetworkOptions NO = fastNetworkOptions();
+    NO.Layer.Threads = Threads;
+    NO.Cache = &Cache;
+    EXPECT_TRUE(
+        optimizeNetwork(toyNetwork(), eyerissArch(), TechParams::cgo45nm(), NO)
+            .Found);
+    EXPECT_GT(Cache.size(), 1u);
+    EXPECT_TRUE(Cache.saveSnapshotFile(Path).isOk());
+    std::ifstream In(Path, std::ios::binary);
+    std::string Bytes((std::istreambuf_iterator<char>(In)),
+                      std::istreambuf_iterator<char>());
+    persist::removeFile(Path);
+    return Bytes;
+  };
+  const std::string Path = ::testing::TempDir() + "/netpersist-order.snap";
+  const std::string Serial = fillAndSave(1, Path);
+  EXPECT_FALSE(Serial.empty());
+  EXPECT_TRUE(fillAndSave(4, Path) == Serial) << "first 4-thread fill differs";
+  EXPECT_TRUE(fillAndSave(4, Path) == Serial) << "second 4-thread fill differs";
 }
 
 TEST(NetworkPersist, JournalCheckpointsReplayLikeSnapshots) {

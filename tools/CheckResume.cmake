@@ -5,10 +5,12 @@
 #         [-DCHECKER=<check_run_report.py> -DPYTHON=<python3>]
 #         -P CheckResume.cmake
 #
-#  resume: run a sweep with --cache-dir, SIGKILL it mid-flight, resume
-#          with --resume, and require the resumed run's output and run
-#          report to match an uninterrupted run (persistence accounting
-#          lines aside).
+#  resume: run a sweep with --cache-dir, SIGKILL it mid-flight at a
+#          fixed journal record (the persist.kill fault site), resume with
+#          --resume, and require that the kill landed, that the resumed
+#          run both replayed and solved tasks, and that its output and run
+#          report match an uninterrupted run (persistence accounting lines
+#          aside).
 #  shards: split the same sweep across 4 --shard runs, recombine with
 #          --merge-shards, and require the merged run to match a plain
 #          single-process run with every task replayed from checkpoints.
@@ -56,16 +58,21 @@ if(CHECK STREQUAL "resume")
   endif()
 
   # 2. Start the same sweep with a checkpoint directory and SIGKILL it
-  #    mid-flight. If the machine is fast enough to finish before the
-  #    kill lands the resume below simply replays everything — still a
-  #    valid (if weaker) check, so no assertion on the kill itself.
+  #    mid-flight: persist.kill makes the process kill itself right after
+  #    it flushed journal record KILL_AT, whatever the machine's speed.
+  #    The sweep has 408 tasks, so the kill must land.
+  set(KILL_AT 100)
+  set(ENV{THISTLE_FAULT} persist.kill:${KILL_AT})
   execute_process(
-    COMMAND sh -c "'${TOOL}' --network resnet18 --threads 2 \
---cache-dir '${DIR}' >/dev/null 2>&1 & PID=$!; sleep 0.8; \
-kill -9 $PID 2>/dev/null; wait $PID; exit 0"
+    COMMAND sh -c "\"$0\" \"$@\" >/dev/null 2>&1; echo $?"
+            ${TOOL} ${NETWORK} --cache-dir ${DIR}
+    OUTPUT_VARIABLE KILLED
     RESULT_VARIABLE CODE)
-  if(NOT CODE EQUAL 0)
-    message(FATAL_ERROR "kill harness failed with '${CODE}'")
+  unset(ENV{THISTLE_FAULT})
+  string(STRIP "${KILLED}" KILLED)
+  if(NOT CODE EQUAL 0 OR NOT KILLED STREQUAL "137")
+    message(FATAL_ERROR "the checkpointed run was not SIGKILLed at journal "
+      "record ${KILL_AT}: exit status '${KILLED}' (harness '${CODE}')")
   endif()
 
   # 3. Resume. The checkpointed tasks replay as exact cache hits; the
@@ -82,6 +89,21 @@ kill -9 $PID 2>/dev/null; wait $PID; exit 0"
   endif()
   if(NOT RESUMED_OUT MATCHES "persist: ")
     message(FATAL_ERROR "resumed run: no persistence accounting\n${RESUMED_OUT}")
+  endif()
+  # The kill landed mid-sweep: the resumed run's report shows it loaded
+  # exactly the killed run's records, replayed each as a cache hit and
+  # solved the rest.
+  file(READ ${WORK_DIR}/resume-resumed.json RESUMED_REPORT)
+  foreach(FIELD loaded_entries cache_hits cache_misses)
+    string(REGEX MATCH "\"${FIELD}\": ([0-9]+)" MATCH "${RESUMED_REPORT}")
+    set(${FIELD} "${CMAKE_MATCH_1}")
+  endforeach()
+  if(NOT loaded_entries EQUAL KILL_AT OR NOT cache_hits EQUAL KILL_AT
+     OR NOT cache_misses GREATER 0)
+    message(FATAL_ERROR "resumed run: expected ${KILL_AT} loaded entries, "
+      "${KILL_AT} cache hits and some misses; got loaded_entries="
+      "'${loaded_entries}' cache_hits='${cache_hits}' "
+      "cache_misses='${cache_misses}'")
   endif()
   strip_accounting(BASE_OUT "${BASE_OUT}")
   strip_accounting(RESUMED_OUT "${RESUMED_OUT}")

@@ -121,3 +121,21 @@ foreach(CASE ${BAD_NUMBERS})
     message(FATAL_ERROR "'${CASE}': diagnostic does not name ${FLAG}\n${ERR}")
   endif()
 endforeach()
+
+# --export-timeloop exports one layer's design on the classic3 machine;
+# on a network, a pipeline or another hierarchy it exits 2 naming the
+# flag before any work (no output), as --groups without --layer does.
+if(NOT MODE STREQUAL "serve")
+  foreach(CASE "--network dcgan" "--pipeline resnet"
+               "--layer 16,8,14,14,3,3 --hierarchy spad4")
+    separate_arguments(ARGS UNIX_COMMAND "${CASE} --export-timeloop")
+    execute_process(COMMAND ${TOOL} ${ARGS}
+      OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE CODE
+      TIMEOUT 60)
+    if(NOT CODE EQUAL 2 OR NOT ERR MATCHES "error: --export-timeloop "
+       OR NOT OUT STREQUAL "")
+      message(FATAL_ERROR "'${CASE} --export-timeloop': expected exit 2 "
+        "naming the flag and no output, got '${CODE}'\n${OUT}\n${ERR}")
+    endif()
+  endforeach()
+endif()

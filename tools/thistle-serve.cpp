@@ -22,6 +22,7 @@
 #include "support/ThreadPool.h"
 #include "thistle/ServeEngine.h"
 
+#include "FlagTable.h"
 #include "NumericFlag.h"
 
 #include <atomic>
@@ -29,7 +30,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -40,23 +40,6 @@
 using namespace thistle;
 
 namespace {
-
-/// One row of the generated usage table; every flag the parser accepts
-/// has exactly one row here. tools/check_docs.py scrapes the flag
-/// comparisons out of this source file and fails if any of them is
-/// missing from docs/SERVING.md, so a new flag cannot land
-/// undocumented.
-struct FlagSpec {
-  const char *Flag; ///< "--port".
-  const char *Arg;  ///< Value metavar, "" for boolean flags.
-  const char *Help; ///< Description; '\n' separates continuation lines.
-};
-
-struct FlagGroup {
-  const char *Title;
-  const FlagSpec *Flags;
-  std::size_t Count;
-};
 
 const FlagSpec ServerFlags[] = {
     {"--port", "N",
@@ -113,35 +96,7 @@ const FlagGroup UsageGroups[] = {
 };
 
 void printUsage(const char *Prog) {
-  std::printf("usage: %s [options]\n", Prog);
-  constexpr std::size_t HelpColumn = 32;
-  for (const FlagGroup &Group : UsageGroups) {
-    std::printf("\n%s\n", Group.Title);
-    for (std::size_t F = 0; F < Group.Count; ++F) {
-      const FlagSpec &Spec = Group.Flags[F];
-      std::string Head = std::string("  ") + Spec.Flag;
-      if (Spec.Arg[0])
-        Head += std::string(" ") + Spec.Arg;
-      bool HeadAlone = Head.size() + 2 > HelpColumn;
-      if (HeadAlone)
-        std::printf("%s\n", Head.c_str());
-      const char *Line = Spec.Help;
-      bool First = !HeadAlone;
-      while (*Line) {
-        const char *End = std::strchr(Line, '\n');
-        std::size_t Len = End ? static_cast<std::size_t>(End - Line)
-                              : std::strlen(Line);
-        if (First)
-          std::printf("%-*s%.*s\n", static_cast<int>(HelpColumn),
-                      Head.c_str(), static_cast<int>(Len), Line);
-        else
-          std::printf("%-*s%.*s\n", static_cast<int>(HelpColumn), "",
-                      static_cast<int>(Len), Line);
-        First = false;
-        Line += Len + (End ? 1 : 0);
-      }
-    }
-  }
+  printFlagTable(Prog, UsageGroups);
   std::printf(
       "\nrequests are newline-delimited thistle-serve/1 JSON documents\n"
       "(docs/SERVING.md); the daemon exits on SIGINT/SIGTERM or a\n"
