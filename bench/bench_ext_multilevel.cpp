@@ -14,8 +14,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchCommon.h"
-#include "multilevel/MultiGp.h"
 #include "support/TablePrinter.h"
+#include "thistle/Optimizer.h"
 
 #include <cmath>
 #include <iostream>
@@ -37,20 +37,21 @@ void printMultilevelTable() {
 
   TablePrinter Table({"layer", "3-level pJ/MAC", "4-level pJ/MAC",
                       "SRAM-boundary words 3L", "SRAM-boundary words 4L"});
-  MultiOptions Opts;
-  Opts.MaxPermCombos = 24;
+  ThistleOptions Opts;
+  Opts.MaxPermClassPairs = 24;
   for (const ConvLayer &L : resnet18Layers()) {
     Problem P = makeConvProblem(L);
-    MultiResult R3 = optimizeHierarchy(P, Classic, Opts);
-    MultiResult R4 = optimizeHierarchy(P, Spad, Opts);
-    auto Cell = [](const MultiResult &R) {
-      return R.Found ? TablePrinter::formatDouble(R.Eval.EnergyPerMacPj, 2)
-                     : std::string("-");
+    ThistleResult R3 = optimizeLayer(P, Classic, Tech, Opts);
+    ThistleResult R4 = optimizeLayer(P, Spad, Tech, Opts);
+    auto Cell = [](const ThistleResult &R) {
+      return R.Found
+                 ? TablePrinter::formatDouble(R.Multi.Eval.EnergyPerMacPj, 2)
+                 : std::string("-");
     };
     // The traffic crossing into the *shared* SRAM: boundary 0 for the
     // 3-level machine, boundary 1 for the 4-level one.
-    auto SramWords = [](const MultiResult &R, unsigned B) {
-      return R.Found ? TablePrinter::formatInt(R.Eval.Profile
+    auto SramWords = [](const ThistleResult &R, unsigned B) {
+      return R.Found ? TablePrinter::formatInt(R.Multi.Eval.Profile
                                                    .boundaryWords(B))
                      : std::string("-");
     };
@@ -77,20 +78,20 @@ void printDepthCoDesign() {
   std::printf("capacity co-design at equal area (%.2f mm^2):\n",
               Budget * 1e-6);
   TablePrinter Table({"layer", "depth", "pJ/MAC", "P", "capacities"});
-  MultiOptions Co;
-  Co.MaxPermCombos = 16;
-  Co.CoDesignCapacities = true;
-  Co.AreaBudgetUm2 = Budget;
+  ThistleOptions Co;
+  Co.MaxPermClassPairs = 16;
+  Co.Mode = DesignMode::CoDesign;
   for (const ConvLayer &L :
        {resnet18Layers()[1], resnet18Layers()[8], yolo9000Layers()[6]}) {
     Problem P = makeConvProblem(L);
     for (const Hierarchy *H : {&H3, &H4}) {
-      MultiResult R = optimizeHierarchy(P, *H, Co);
-      if (!R.Found) {
+      ThistleResult Result = optimizeLayer(P, *H, Tech, Co, {}, Budget);
+      if (!Result.Found) {
         Table.addRow({L.Name, std::to_string(H->numLevels()), "-", "-",
                       "-"});
         continue;
       }
+      const RoundedHierarchyDesign &R = Result.Multi;
       std::string Caps;
       for (unsigned Lv = 0; Lv + 1 < R.Arch.numLevels(); ++Lv)
         Caps += (Lv ? " / " : "") +
@@ -109,10 +110,10 @@ void timeMultilevelOptimize(benchmark::State &State) {
   TechParams Tech = TechParams::cgo45nm();
   Hierarchy H = Hierarchy::withScratchpad(eyerissArch(), Tech, 1024,
                                           eyerissArch().SramWords);
-  MultiOptions Opts;
-  Opts.MaxPermCombos = static_cast<unsigned>(State.range(0));
+  ThistleOptions Opts;
+  Opts.MaxPermClassPairs = static_cast<unsigned>(State.range(0));
   for (auto _ : State)
-    benchmark::DoNotOptimize(optimizeHierarchy(P, H, Opts));
+    benchmark::DoNotOptimize(optimizeLayer(P, H, Tech, Opts));
 }
 BENCHMARK(timeMultilevelOptimize)->Arg(4)->Arg(16)->Unit(
     benchmark::kMillisecond);

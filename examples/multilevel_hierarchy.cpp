@@ -10,8 +10,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/Builders.h"
-#include "multilevel/MultiGp.h"
 #include "nestmodel/Mapper.h"
+#include "thistle/Optimizer.h"
 #include "workloads/Workloads.h"
 
 #include <cstdio>
@@ -22,9 +22,10 @@ using namespace thistle;
 namespace {
 
 void report(const char *Title, const Problem &Prob, const Hierarchy &H,
-            const MultiResult &R) {
+            const ThistleResult &Result) {
   std::printf("--- %s ---\n", Title);
-  if (!R.Found) {
+  const RoundedHierarchyDesign &R = Result.Multi;
+  if (!Result.Found) {
     std::printf("no legal design found\n\n");
     return;
   }
@@ -55,18 +56,18 @@ int main() {
   std::printf("layer %s on %lld PEs\n\n", Layer.Name.c_str(),
               static_cast<long long>(Arch.NumPEs));
 
-  MultiOptions Opts;
-  Opts.MaxPermCombos = 24;
+  ThistleOptions Opts;
+  Opts.MaxPermClassPairs = 24;
 
   Hierarchy Classic = Hierarchy::classic3Level(Arch, Tech);
   report("3-level: registers / shared SRAM / DRAM", Prob, Classic,
-         optimizeHierarchy(Prob, Classic, Opts));
+         optimizeLayer(Prob, Classic, Tech, Opts));
 
   Hierarchy Spad =
       Hierarchy::withScratchpad(Arch, Tech, /*SpadWords=*/1024,
                                 /*SramWords=*/Arch.SramWords);
   report("4-level: registers / per-PE scratchpad / shared SRAM / DRAM",
-         Prob, Spad, optimizeHierarchy(Prob, Spad, Opts));
+         Prob, Spad, optimizeLayer(Prob, Spad, Tech, Opts));
 
   // Any machine loads from the text format (inner to outer; capacity in
   // words with "-" = unbounded, access pJ/word, bandwidth words/cycle).
@@ -84,7 +85,7 @@ int main() {
     std::printf("parse error: %s\n", Error.c_str());
     return 1;
   }
-  MultiResult DeepR = optimizeHierarchy(Prob, Deep, Opts);
+  ThistleResult DeepR = optimizeLayer(Prob, Deep, Tech, Opts);
   report("5-level: parsed from the text format", Prob, Deep, DeepR);
 
   // The generic mapper searches the same machine directly — the paper's
@@ -98,8 +99,9 @@ int main() {
       std::printf("mapper cross-check on the 5-level machine: "
                   "%.2f pJ/MAC over %u trials (GP %.2f) -> ratio %.3f\n",
                   MR.BestEval.EnergyPerMacPj, MR.Trials,
-                  DeepR.Eval.EnergyPerMacPj,
-                  DeepR.Eval.EnergyPerMacPj / MR.BestEval.EnergyPerMacPj);
+                  DeepR.Multi.Eval.EnergyPerMacPj,
+                  DeepR.Multi.Eval.EnergyPerMacPj /
+                      MR.BestEval.EnergyPerMacPj);
   }
   return 0;
 }

@@ -45,7 +45,7 @@
 namespace thistle {
 
 /// Abstract cost-model backend. Implementations must be stateless with
-/// respect to evaluations (const, thread-safe): the mapper and the combo
+/// respect to evaluations (const, thread-safe): the mapper and the pair
 /// sweep call evaluate() concurrently from pool workers.
 class CostEvaluator {
 public:

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The objective an optimizer or search minimizes, shared by every layer
-/// that ranks designs: the GP co-design engine (thistle/), the stochastic
-/// mapper baseline (nestmodel/Mapper), the multilevel optimizer
-/// (multilevel/MultiGp) and the rounding pass. Lives in its own leaf
+/// that ranks designs: the GP co-design engine (thistle/) at every
+/// hierarchy depth, the stochastic mapper baseline (nestmodel/Mapper)
+/// and the rounding pass. Lives in its own leaf
 /// header so evaluation (Evaluator.h) and search (Mapper.h) no longer
 /// need forward-declaration tricks to share the enum.
 ///

@@ -26,8 +26,8 @@
 ///   solver.nonconverge  phase II never reaches its tolerance
 ///   solver.nan-grad     poisons a Newton gradient with NaN
 ///   solver.infeasible   phase I reports no strictly feasible point
-///   thistle.pair        keyed by pair task index: the pair solve fails
-///   multigp.combo       keyed by combo index: the combo solve fails
+///   thistle.pair        keyed by task index: the pair's solve fails, at
+///                       any hierarchy depth
 ///   parse.hierarchy     parseHierarchy rejects the input
 ///   persist.write-fail  keyed by artifact (0 snapshot, 1 journal):
 ///                       the durable write fails outright

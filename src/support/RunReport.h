@@ -158,11 +158,11 @@ struct RunReport {
   double MacIpc = 0.0;
   double EdpPjCycles = 0.0;
 
-  /// Per-task sweep accounting (pair or combo sweep); HasSweep is false
-  /// for runs that never sweep (e.g. usage errors).
+  /// Per-pair sweep accounting; HasSweep is false for runs that never
+  /// sweep (e.g. usage errors).
   bool HasSweep = false;
   SweepReport Sweep;
-  std::string SweepTaskNoun = "task";
+  std::string SweepTaskNoun = "pair";
 
   /// Which cost-model backend scored the run (and its cross-check
   /// statistics under --evaluator both).

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Structured accounting of one design-space sweep (the perm-class pair
-/// sweep, the multilevel combo sweep): how many tasks solved cleanly,
+/// sweep, at any hierarchy depth): how many tasks solved cleanly,
 /// solved only after solver retries, were accepted degraded (feasible
 /// but not converged), were genuinely infeasible, failed outright, or
 /// were skipped by an expired deadline — plus one incident record per
@@ -30,7 +30,7 @@
 
 namespace thistle {
 
-/// Outcome of one sweep task (one GP pair / combo).
+/// Outcome of one sweep task (one GP).
 enum class TaskOutcome {
   Solved,     ///< Converged, rounded, evaluated.
   Degraded,   ///< Feasible but not converged; best iterate accepted.
@@ -44,8 +44,8 @@ const char *taskOutcomeName(TaskOutcome Outcome);
 /// One non-clean task, in sweep order.
 struct SweepIncident {
   std::size_t Index = 0;  ///< Task index in the fixed sweep plan.
-  std::size_t A = 0;      ///< First coordinate (PE perm class / combo).
-  std::size_t B = 0;      ///< Second coordinate (DRAM perm class).
+  std::size_t A = 0;      ///< First coordinate (level-1 / PE class).
+  std::size_t B = 0;      ///< Second coordinate (outermost / DRAM class).
   TaskOutcome Outcome = TaskOutcome::Failed;
   unsigned Attempts = 0;  ///< Solver attempts spent on the task.
   std::string Detail;     ///< Failure reason / diagnostic.

@@ -9,7 +9,7 @@
 /// pipeline: hierarchical trace spans (`TraceScope`) with monotonic
 /// timing, and a registry of named counters and value statistics
 /// (`count` / `observe`). Production code plants hooks at per-task
-/// granularity (one GP solve, one pair/combo, one mapper round — never
+/// granularity (one GP solve, one pair task, one mapper round — never
 /// inside a Newton iteration); the command-line tool and the benchmarks
 /// turn collection on with `setLevel` and read it back with `snapshot`.
 ///
@@ -116,7 +116,7 @@ void count(const char *Name, std::uint64_t Delta = 1);
 /// unless metricsEnabled().
 void observe(const char *Name, double Value);
 
-/// Starts a new sweep epoch. Each parallel sweep (pair sweep, combo
+/// Starts a new sweep epoch. Each parallel sweep (pair sweep, network
 /// sweep, mapper search) calls this once, on the calling thread, before
 /// fanning out; task indices are only unique within one sweep, so the
 /// epoch disambiguates equal indices of successive sweeps in the merge.
@@ -132,7 +132,7 @@ void reset();
 /// RAII trace span. Opening and closing cost nothing when tracing is
 /// off. A span opened with NoIndex inherits the index of the innermost
 /// open span on the same thread, so solver attempts nest under the pair
-/// or combo task that issued them.
+/// task that issued them.
 class TraceScope {
 public:
   explicit TraceScope(const char *Name, std::size_t Index = NoIndex);

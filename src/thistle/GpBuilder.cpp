@@ -95,10 +95,6 @@ Status thistle::validateGpBuildSpec(const Problem &Prob,
   return Status::ok();
 }
 
-Hierarchy thistle::classicHierarchy(const GpBuildSpec &Spec) {
-  return Hierarchy::classic3Level(Spec.Arch, Spec.Tech);
-}
-
 HierarchyGpSpec thistle::hierarchyGpSpec(const GpBuildSpec &Spec) {
   HierarchyGpSpec Out;
   Out.Mode = Spec.Mode;
@@ -292,7 +288,8 @@ GpBuild thistle::buildGp(const Problem &Prob, const Hierarchy &H,
 }
 
 GpBuild thistle::buildGp(const Problem &Prob, const GpBuildSpec &Spec) {
-  return buildGp(Prob, classicHierarchy(Spec), hierarchyGpSpec(Spec));
+  return buildGp(Prob, Hierarchy::classic3Level(Spec.Arch, Spec.Tech),
+                 hierarchyGpSpec(Spec));
 }
 
 RealSolution thistle::extractSolution(const Hierarchy &H,
@@ -325,5 +322,6 @@ RealSolution thistle::extractSolution(const Hierarchy &H,
 RealSolution thistle::extractSolution(const Problem &, const GpBuild &Build,
                                       const GpBuildSpec &Spec,
                                       const GpSolution &Solution) {
-  return extractSolution(classicHierarchy(Spec), Build, Solution);
+  return extractSolution(Hierarchy::classic3Level(Spec.Arch, Spec.Tech),
+                         Build, Solution);
 }

@@ -105,9 +105,6 @@ struct GpBuildSpec {
   double AreaBudgetUm2 = 0.0;
 };
 
-/// The machine a classic spec targets: Hierarchy::classic3Level.
-Hierarchy classicHierarchy(const GpBuildSpec &Spec);
-
 /// The hierarchy-generic form of a classic spec: level 1 runs the per-PE
 /// permutation, level 2 the DRAM one.
 HierarchyGpSpec hierarchyGpSpec(const GpBuildSpec &Spec);

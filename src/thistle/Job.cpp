@@ -25,11 +25,10 @@ void refuse(JobResult &R, std::string Error) {
 /// The sweep and result sections of one design's sweep, and its exit
 /// code: 3 without a design, else 0 for a clean sweep, 1 for a degraded.
 template <typename EvalT>
-void finishSweep(JobResult &R, const char *TaskNoun, SweepReport &&Sweep,
-                 bool Found, const EvalT &Eval) {
+void finishSweep(JobResult &R, SweepReport &&Sweep, bool Found,
+                 const EvalT &Eval) {
   RunReport &RR = R.Report;
   RR.HasSweep = true;
-  RR.SweepTaskNoun = TaskNoun;
   RR.Sweep = std::move(Sweep);
   R.ExitCode = !Found ? 3 : RR.Sweep.clean() ? 0 : 1;
   if (!Found)
@@ -42,45 +41,43 @@ void finishSweep(JobResult &R, const char *TaskNoun, SweepReport &&Sweep,
   RR.EdpPjCycles = Eval.EdpPjCycles;
 }
 
-void runLayer(const Job &J, const LayerRunContext &Run, JobResult &R) {
-  R.Layer = optimizeLayer(makeConvProblem(J.Layers.front()), J.Arch,
-                          TechParams::cgo45nm(), J.Options, Run, J.AreaBudget);
-  if (!R.Layer.InputStatus.isOk())
-    return refuse(R, R.Layer.InputStatus.toString());
-  finishSweep(R, "pair", std::move(R.Layer.Report), R.Layer.Found,
-              R.Layer.Eval);
-}
-
-/// A non-classic machine: the L-level GP optimizer on one layer.
-void runHierarchy(const Job &J, JobResult &R) {
+/// Resolves the non-classic machine \p J names into R.Machine; returns
+/// the exit-2 text when it cannot.
+std::string resolveMachine(const Job &J, JobResult &R) {
   if (J.HierarchySpec == "spad4") {
     R.Machine = Hierarchy::withScratchpad(J.Arch, TechParams::cgo45nm(),
                                           /*SpadWords=*/512, J.Arch.SramWords);
-  } else {
-    std::ifstream In(J.HierarchySpec);
-    if (!In)
-      return refuse(R, "cannot open hierarchy file '" + J.HierarchySpec +
-                           "'");
-    std::ostringstream Text;
-    Text << In.rdbuf();
-    Expected<Hierarchy> H = parseHierarchy(Text.str());
-    if (!H)
-      return refuse(R, J.HierarchySpec + ": " + H.status().message());
-    R.Machine = H.takeValue();
+    return {};
   }
+  std::ifstream In(J.HierarchySpec);
+  if (!In)
+    return "cannot open hierarchy file '" + J.HierarchySpec + "'";
+  std::ostringstream Text;
+  Text << In.rdbuf();
+  Expected<Hierarchy> H = parseHierarchy(Text.str());
+  if (!H)
+    return J.HierarchySpec + ": " + H.status().message();
+  R.Machine = H.takeValue();
+  return {};
+}
 
-  MultiOptions MO;
-  MO.Objective = J.Options.Objective;
-  MO.NumCandidates = J.Options.Rounding.NumCandidates;
-  MO.Threads = J.Options.Threads;
-  MO.Deadline = J.Options.Deadline;
-  MO.Evaluator = J.Options.Rounding.Evaluator;
-  R.Multi = optimizeHierarchy(makeConvProblem(J.Layers.front()), *R.Machine,
-                              MO);
-  if (!R.Multi.InputStatus.isOk())
-    return refuse(R, R.Multi.InputStatus.toString());
-  finishSweep(R, "combo", std::move(R.Multi.Report), R.Multi.Found,
-              R.Multi.Eval);
+void runLayer(const Job &J, const LayerRunContext &Run, JobResult &R) {
+  const Problem Prob = makeConvProblem(J.Layers.front());
+  const TechParams Tech = TechParams::cgo45nm();
+  if (J.HierarchySpec == ClassicHierarchy)
+    R.Layer = optimizeLayer(Prob, J.Arch, Tech, J.Options, Run, J.AreaBudget);
+  else if (std::string Error = resolveMachine(J, R); !Error.empty())
+    return refuse(R, std::move(Error));
+  else
+    R.Layer =
+        optimizeLayer(Prob, *R.Machine, Tech, J.Options, Run, J.AreaBudget);
+  if (!R.Layer.InputStatus.isOk())
+    return refuse(R, R.Layer.InputStatus.toString());
+  if (R.Machine)
+    finishSweep(R, std::move(R.Layer.Report), R.Layer.Found,
+                R.Layer.Multi.Eval);
+  else
+    finishSweep(R, std::move(R.Layer.Report), R.Layer.Found, R.Layer.Eval);
 }
 
 /// Every layer on its own; the result block holds the total energy only
@@ -88,7 +85,6 @@ void runHierarchy(const Job &J, JobResult &R) {
 void runPipeline(const Job &J, const LayerRunContext &Run,
                  const PipelineStageFn &OnStage, JobResult &R) {
   R.Report.HasSweep = true;
-  R.Report.SweepTaskNoun = "pair";
   double TotalUj = 0.0;
   for (const ConvLayer &L : J.Layers) {
     ThistleResult LR =
@@ -125,7 +121,6 @@ void runNetwork(const Job &J, GpSolutionCache *Cache, ThreadPool *Pool,
 
   RunReport &RR = R.Report;
   RR.HasSweep = true;
-  RR.SweepTaskNoun = "pair";
   RR.Sweep = std::move(N.Report);
   RR.Found = N.Found;
   RunReportNetwork &Network = RR.Network;
@@ -218,10 +213,7 @@ JobResult thistle::runJob(const Job &J, GpSolutionCache *Cache,
     const LayerRunContext Run{Cache, Pool};
     switch (J.Kind) {
     case JobKind::Layer:
-      if (J.HierarchySpec == ClassicHierarchy)
-        runLayer(J, Run, R);
-      else
-        runHierarchy(J, R);
+      runLayer(J, Run, R);
       break;
     case JobKind::Pipeline:
       runPipeline(J, Run, OnStage, R);

@@ -7,8 +7,8 @@
 /// \file
 /// The one path from a request to a run, a report and an exit code:
 /// thistle-opt's flag parser and thistle-serve's query parser each only
-/// build a Job, and runJob validates it, dispatches it to optimizeLayer,
-/// optimizeNetwork or optimizeHierarchy, and maps the outcome into the
+/// build a Job, and runJob validates it, dispatches it to optimizeLayer
+/// or optimizeNetwork, and maps the outcome into the
 /// tool-agnostic RunReport sections and the exit code of
 /// docs/THISTLE_OPT.md, so a served answer is the thistle-opt answer by
 /// construction. Printing stays with the front end.
@@ -19,7 +19,6 @@
 #define THISTLE_THISTLE_JOB_H
 
 #include "ir/Builders.h"
-#include "multilevel/MultiGp.h"
 #include "support/RunReport.h"
 #include "thistle/Network.h"
 #include "thistle/Optimizer.h"
@@ -59,7 +58,7 @@ struct Job {
   double AreaBudget = 0.0; ///< Eq. 5 budget (um^2); see resolveAreaBudget.
   /// ClassicHierarchy, "spad4" or a hierarchy file (docs/HIERARCHY.md);
   /// any other machine runs one layer, in dataflow mode, through
-  /// optimizeHierarchy.
+  /// optimizeLayer's Hierarchy overload.
   std::string HierarchySpec = ClassicHierarchy;
   /// A network's 0-based task-grid slice (NetworkOptions::ShardIndex).
   std::size_t ShardIndex = 0, ShardCount = 1;
@@ -83,11 +82,11 @@ struct JobResult {
   int ExitCode = 0;
   std::string Error; ///< The exit-2 diagnostic, without "error: ".
   RunReport Report;  ///< Header, result, sweep and network sections.
-  /// The raw outcome a front end prints from, by kind and hierarchy;
-  /// each one's sweep report has moved into Report.Sweep.
+  /// The raw outcome a front end prints from, by kind; each one's sweep
+  /// report has moved into Report.Sweep. On a non-classic machine the
+  /// layer's design is Layer.Multi.
   ThistleResult Layer;
   std::optional<Hierarchy> Machine; ///< A non-classic machine, resolved.
-  MultiResult Multi;
   NetworkResult Network;
 };
 

@@ -171,12 +171,17 @@ NetworkResult thistle::optimizeNetwork(const std::vector<ConvLayer> &Layers,
                       const std::vector<ArchConfig> &CellArchs,
                       double PhaseBudget, std::size_t SpanBase) {
     const std::size_t Cells = CellArchs.size();
+    std::vector<Hierarchy> CellMachines;
+    for (const ArchConfig &A : CellArchs)
+      CellMachines.push_back(Hierarchy::classic3Level(A, Tech));
     std::vector<PairSweepContext> Ctxs;
     Ctxs.reserve(Cells * Shapes.size());
     for (std::size_t Cell = 0; Cell < Cells; ++Cell)
       for (std::size_t S = 0; S < Shapes.size(); ++S) {
-        PairSweepContext Ctx{Shapes[S].Prob, Plans[S], Opts,
-                             CellArchs[Cell], Tech,     PhaseBudget};
+        PairSweepContext Ctx{Shapes[S].Prob,      Plans[S],
+                             Opts,                CellMachines[Cell],
+                             &CellArchs[Cell],    Tech,
+                             PhaseBudget};
         Ctx.Cache = Options.Cache;
         if (Ctx.Cache)
           Ctx.CacheKeys = gpCacheKeyMaterial(Shapes[S].Prob, Opts,

@@ -51,23 +51,34 @@ ThistleResult thistle::optimizeLayer(const Problem &Prob,
                        AreaBudgetUm2);
 }
 
-ThistleResult thistle::optimizeLayer(const Problem &Prob,
-                                     const ArchConfig &Arch,
-                                     const TechParams &Tech,
-                                     const ThistleOptions &Options,
-                                     const LayerRunContext &Run,
-                                     double AreaBudgetUm2) {
+namespace {
+
+/// The sweep of one layer on \p Machine; \p Classic is its ArchConfig
+/// when Machine is classic3Level(*Classic, Tech), else null.
+ThistleResult sweepLayer(const Problem &Prob, const Hierarchy &Machine,
+                         const ArchConfig *Classic, const TechParams &Tech,
+                         const ThistleOptions &Options,
+                         const LayerRunContext &Run, double AreaBudgetUm2) {
   ThistleResult Result;
 
   // Validate the user-reachable inputs once, before any GP is built.
-  // The per-pair permutations come from our own enumeration, so an
-  // empty-permutation spec covers everything the caller controls.
+  // The per-task permutations come from our own enumeration, so an
+  // empty-permutation spec covers everything the caller controls. Only
+  // classic3 has an ArchConfig to check; another machine checks itself,
+  // and the probe's default one passes.
+  if (!Classic)
+    if (std::string Error = Machine.validate(); !Error.empty()) {
+      Result.InputStatus = Status::invalidArgument(std::move(Error))
+                               .withContext("validating hierarchy");
+      return Result;
+    }
   {
     GpBuildSpec Probe;
     Probe.Mode = Options.Mode;
     Probe.Objective = Options.Objective;
     Probe.TiledIters = tiledIterators(Prob, Options);
-    Probe.Arch = Arch;
+    if (Classic)
+      Probe.Arch = *Classic;
     Probe.Tech = Tech;
     Probe.AreaBudgetUm2 = AreaBudgetUm2;
     Result.InputStatus = validateGpBuildSpec(Prob, Probe)
@@ -76,13 +87,24 @@ ThistleResult thistle::optimizeLayer(const Problem &Prob,
       return Result;
   }
 
-  LayerSweepPlan Plan = planLayerSweep(Prob, Options);
+  LayerSweepPlan Plan =
+      planLayerSweep(Prob, Options, Machine.numLevels() - 1);
+  if (Plan.PairsTotal == 0) {
+    Result.InputStatus =
+        Status::invalidArgument(
+            std::to_string(Plan.Classes.size()) + " classes on each of " +
+            std::to_string(Machine.numLevels() - 1) +
+            " permuted levels make more than " +
+            std::to_string(MaxSweepTuples) + " tuples to plan")
+            .withContext("planning the sweep");
+    return Result;
+  }
 
-  PairSweepContext Ctx{Prob,  Plan, Options, Arch,
-                       Tech,  AreaBudgetUm2};
-  Ctx.Cache = Run.Cache;
+  PairSweepContext Ctx{Prob, Plan, Options, Machine, Classic, Tech,
+                       AreaBudgetUm2};
+  Ctx.Cache = Classic ? Run.Cache : nullptr;
   if (Ctx.Cache)
-    Ctx.CacheKeys = gpCacheKeyMaterial(Prob, Options, Arch, Tech,
+    Ctx.CacheKeys = gpCacheKeyMaterial(Prob, Options, *Classic, Tech,
                                        AreaBudgetUm2, Plan.TiledIters);
   Ctx.HasDeadline = resolveSweepDeadline(Options.Deadline,
                                          Options.DeadlineAt, Ctx.DeadlineAt);
@@ -110,4 +132,26 @@ ThistleResult thistle::optimizeLayer(const Problem &Prob,
 
   finishLayerResult(Plan, std::move(Total), Result);
   return Result;
+}
+
+} // namespace
+
+ThistleResult thistle::optimizeLayer(const Problem &Prob,
+                                     const ArchConfig &Arch,
+                                     const TechParams &Tech,
+                                     const ThistleOptions &Options,
+                                     const LayerRunContext &Run,
+                                     double AreaBudgetUm2) {
+  return sweepLayer(Prob, Hierarchy::classic3Level(Arch, Tech), &Arch, Tech,
+                    Options, Run, AreaBudgetUm2);
+}
+
+ThistleResult thistle::optimizeLayer(const Problem &Prob,
+                                     const Hierarchy &Machine,
+                                     const TechParams &Tech,
+                                     const ThistleOptions &Options,
+                                     const LayerRunContext &Run,
+                                     double AreaBudgetUm2) {
+  return sweepLayer(Prob, Machine, nullptr, Tech, Options, Run,
+                    AreaBudgetUm2);
 }

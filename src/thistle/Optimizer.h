@@ -6,10 +6,12 @@
 ///
 /// \file
 /// The outer loop of Thistle (paper Fig. 2): enumerate pruned tile-loop
-/// permutation classes for the per-PE and DRAM temporal levels, generate
-/// one constrained geometric program per class pair, solve it, round the
-/// real solution to integer candidates, price every candidate that can
-/// win with the nestmodel, and return the best design found. Supports
+/// permutation classes for every permuted temporal level (per-PE and
+/// DRAM on the classic machine), generate one constrained geometric
+/// program per choice of classes, solve it, round the real solution to
+/// integer candidates, price every candidate that can win with the
+/// nestmodel, and return the best design found, on the classic
+/// register/SRAM/DRAM machine or a hierarchy of any depth. Supports
 /// the paper's two modes — dataflow optimization for a fixed
 /// architecture (Eq. 3, used in Figs. 4 and 7) and
 /// architecture-dataflow co-design under an area budget (Eq. 5, used in
@@ -43,7 +45,10 @@ struct ThistleOptions {
   /// Allow untiled iterators to be spatially unrolled across the PE grid
   /// (see GpBuildSpec::SpatialUntiled).
   bool SpatialUntiled = true;
-  /// Cap on permutation-class pairs to solve (0 = all).
+  /// Cap on the class tuples (pairs on classic3) to solve; 0 means
+  /// classes^2, the classic pair count before pruning, which never caps
+  /// a classic sweep. Under the cap the solved tuples spread evenly over
+  /// the pruned ones (planLayerSweep).
   unsigned MaxPermClassPairs = 0;
   /// Worker threads for the pair sweep (0 = one per hardware thread).
   /// The result is bit-identical at every thread count — the sweep plan
@@ -111,12 +116,19 @@ struct ThistleResult {
   /// pairs fail or are skipped, the sweep still returns the optimum
   /// over the remaining pairs and names the losses here.
   SweepReport Report;
-  ArchConfig Arch; ///< Input arch (dataflow mode) or co-designed.
+  /// The winner on classic3: the input arch (dataflow mode) or the
+  /// co-designed one, its mapping and evaluation.
+  ArchConfig Arch;
   Mapping Map;
   EvalResult Eval;
+  /// The winner on any other machine (the Hierarchy overload of
+  /// optimizeLayer), in that machine's terms; Arch, Map and Eval stay
+  /// empty then.
+  RoundedHierarchyDesign Multi;
   /// The GP's own objective estimate at the best pair (pre-rounding).
   double ModelObjective = 0.0;
-  /// Permutations of the winning class pair (outer-to-inner, tiled only).
+  /// Permutations of the winner's level-1 and outermost classes
+  /// (outer-to-inner, tiled only): its PE and DRAM permutations.
   std::vector<unsigned> BestPePerm, BestDramPerm;
   ThistleStats Stats;
 };
@@ -154,6 +166,19 @@ ThistleResult optimizeLayer(const Problem &Prob, const ArchConfig &Arch,
                             const TechParams &Tech,
                             const ThistleOptions &Options,
                             const LayerRunContext &Run,
+                            double AreaBudgetUm2 = 0.0);
+
+/// Runs Thistle on one layer and the hierarchy \p Machine of any depth
+/// (the winner lands in ThistleResult::Multi). In CoDesign mode every
+/// on-chip capacity and the PE count become variables under
+/// \p AreaBudgetUm2 and \p Machine supplies the structure: depth,
+/// fan-out, bandwidths, DRAM energy. Run.Cache is never read or written:
+/// its keys name a classic ArchConfig, not the machine. A machine whose
+/// class tuples outnumber MaxSweepTuples is refused in InputStatus.
+ThistleResult optimizeLayer(const Problem &Prob, const Hierarchy &Machine,
+                            const TechParams &Tech,
+                            const ThistleOptions &Options,
+                            const LayerRunContext &Run = {},
                             double AreaBudgetUm2 = 0.0);
 
 } // namespace thistle

@@ -33,6 +33,15 @@ std::vector<unsigned> thistle::tiledIterators(const Problem &Prob,
 
 namespace {
 
+/// The deterministic winner order, lexicographic on (objective, task
+/// index): on classic3, (objective, QI, SI). It reproduces the
+/// sequential sweep exactly, where a later task only displaced the
+/// incumbent on a strictly smaller objective.
+bool pairWinsOver(double Obj, std::size_t TaskIdx,
+                  const SweepAccumulator &Acc) {
+  return !Acc.Found || std::tie(Obj, TaskIdx) < std::tie(Acc.Obj, Acc.Task);
+}
+
 /// Replays a cached pair outcome into the accumulator: the same report
 /// record, stat deltas, telemetry counts and winner update the miss
 /// path would have produced, without building or solving the GP.
@@ -57,35 +66,55 @@ void replayCacheEntry(const GpCacheEntry &Entry, const PairTask &Task,
     telemetry::observe("thistle.rounding.rel_delta",
                        (Entry.Obj - Entry.ModelObjective) /
                            Entry.ModelObjective);
-  if (pairWinsOver(Entry.Obj, Task.QI, Task.SI, Acc)) {
+  if (pairWinsOver(Entry.Obj, TaskIdx, Acc)) {
     Acc.Found = true;
     Acc.Obj = Entry.Obj;
-    Acc.QI = Task.QI;
-    Acc.SI = Task.SI;
+    Acc.Task = TaskIdx;
     Acc.Design = Entry.Design;
     Acc.ModelObjective = Entry.ModelObjective;
   }
 }
 
+/// The permutation of every level of \p Task: Perms[l] for 1 <= l < L,
+/// as HierarchyGpSpec::Perms holds them.
+std::vector<std::vector<unsigned>> taskPerms(const LayerSweepPlan &Plan,
+                                             const PairTask &Task,
+                                             unsigned NumLevels) {
+  std::vector<std::vector<unsigned>> Perms(NumLevels);
+  Perms[1] = Plan.Classes[Task.QI].Representative;
+  for (std::size_t M = 0; M < Task.Middle.size(); ++M)
+    Perms[M + 2] = Plan.Classes[Task.Middle[M]].Representative;
+  Perms[NumLevels - 1] = Plan.Classes[Task.SI].Representative;
+  return Perms;
+}
+
 } // namespace
 
 LayerSweepPlan thistle::planLayerSweep(const Problem &Prob,
-                                       const ThistleOptions &Options) {
+                                       const ThistleOptions &Options,
+                                       unsigned PermutedLevels) {
   LayerSweepPlan Plan;
   Plan.TiledIters = tiledIterators(Prob, Options);
 
   // The class enumeration is a function of the problem and the tiled
-  // iterator set only, so the two temporal levels share it.
+  // iterator set only, so every permuted level shares it.
   Plan.Classes = enumeratePermClasses(Prob, Plan.TiledIters);
   for (const PermClass &C : Plan.Classes)
     Plan.RawPermsPerLevel += C.MemberCount;
+  const std::size_t NumClasses = Plan.Classes.size();
+  std::uint64_t Tuples = 1;
+  for (unsigned L = 0; L < PermutedLevels; ++L) {
+    Tuples *= NumClasses;
+    if (Tuples > MaxSweepTuples)
+      return Plan;
+  }
 
   const std::vector<ProblemSymmetry> Symmetries = findProblemSymmetries(Prob);
 
-  // Symmetry pruning (the paper's H/W pruning) skips a pair if a problem
-  // symmetry maps it to a lexicographically smaller pair (its mirror
+  // Symmetry pruning (the paper's H/W pruning) skips a tuple if a problem
+  // symmetry maps it to a lexicographically smaller tuple (its mirror
   // image was/will be solved instead). The comparison is lexicographic
-  // over (PE, DRAM) class, so it only needs each class's image under
+  // from level 1 outward, so it only needs each class's image under
   // each symmetry ordered against the class itself, computed once per
   // class here.
   std::vector<std::vector<std::strong_ordering>> MappedOrder(
@@ -96,45 +125,54 @@ LayerSweepPlan thistle::planLayerSweep(const Problem &Prob,
           C.Signature.mapped(Symmetries[K].IterMap,
                              Symmetries[K].TensorMap) <=> C.Signature);
 
-  // Symmetry pruning and the pair cap depend on the enumeration order,
-  // so the task list is fixed here, before any fan-out. Capped pairs
-  // are recorded as policy skips with indices following the planned
-  // tasks (every capped pair enumerates after the cap fills), keeping
-  // the merged incident list in ascending task order.
-  const unsigned Cap = Options.MaxPermClassPairs;
-  unsigned Capped = 0;
-  for (std::size_t QI = 0; QI < Plan.Classes.size(); ++QI) {
-    for (std::size_t SI = 0; SI < Plan.Classes.size(); ++SI) {
-      ++Plan.PairsTotal;
-
-      const bool Skip = std::any_of(
-          MappedOrder.begin(), MappedOrder.end(), [&](const auto &Order) {
-            return Order[QI] < 0 || (Order[QI] == 0 && Order[SI] < 0);
-          });
-      if (Skip) {
-        ++Plan.PairsSkippedBySymmetry;
-        continue;
-      }
-      if (Cap && Plan.Pairs.size() >= Cap) {
-        Plan.CappedReport.recordPolicySkip(
-            Cap + Capped, QI, SI,
-            "dropped by the MaxPermClassPairs pair cap");
-        ++Capped;
-        continue;
-      }
-      Plan.Pairs.push_back({QI, SI});
+  // Pruning and the cap depend on the enumeration order, so the task
+  // list is fixed here, before any fan-out. Digits is an odometer over
+  // the tuples in lexicographic order, level 1's class first.
+  std::vector<std::size_t> Digits(PermutedLevels, 0);
+  std::vector<PairTask> Survivors;
+  for (std::uint64_t T = 0; T < Tuples; ++T) {
+    const bool Pruned = std::any_of(
+        MappedOrder.begin(), MappedOrder.end(), [&](const auto &Order) {
+          for (std::size_t D : Digits)
+            if (Order[D] != 0)
+              return Order[D] < 0;
+          return false;
+        });
+    if (!Pruned) {
+      PairTask Task{Digits.front(), Digits.back(), {}};
+      if (Digits.size() > 2)
+        Task.Middle.assign(Digits.begin() + 1, Digits.end() - 1);
+      Survivors.push_back(std::move(Task));
     }
+    // Advance: the outermost level's class is the least significant.
+    for (std::size_t L = PermutedLevels; L-- > 0 && ++Digits[L] == NumClasses;)
+      Digits[L] = 0;
+  }
+  Plan.PairsTotal = static_cast<unsigned>(Tuples);
+  Plan.PairsSkippedBySymmetry =
+      static_cast<unsigned>(Tuples - Survivors.size());
+
+  const std::size_t Cap = Options.MaxPermClassPairs
+                              ? Options.MaxPermClassPairs
+                              : NumClasses * NumClasses;
+  if (Survivors.size() <= Cap) {
+    Plan.Pairs = std::move(Survivors);
+    return Plan;
+  }
+  // Under the cap, planned task i is survivor floor(i*N/Cap): the plan
+  // spreads evenly over the survivors. The others are recorded as
+  // policy skips with indices following the planned tasks, keeping the
+  // merged incident list in ascending task order.
+  for (std::size_t S = 0; S < Survivors.size(); ++S) {
+    const std::size_t Next = Plan.Pairs.size();
+    if (Next < Cap && S == Next * Survivors.size() / Cap)
+      Plan.Pairs.push_back(std::move(Survivors[S]));
+    else
+      Plan.CappedReport.recordPolicySkip(
+          Cap + Plan.CappedReport.Skipped, Survivors[S].QI, Survivors[S].SI,
+          "dropped by the MaxPermClassPairs pair cap");
   }
   return Plan;
-}
-
-bool thistle::pairWinsOver(double Obj, std::size_t QI, std::size_t SI,
-                           const SweepAccumulator &Acc) {
-  // The deterministic winner order reproduces the sequential sweep
-  // exactly, where a later pair only displaced the incumbent on a
-  // strictly smaller objective.
-  return !Acc.Found ||
-         std::tie(Obj, QI, SI) < std::tie(Acc.Obj, Acc.QI, Acc.SI);
 }
 
 bool thistle::resolveSweepDeadline(
@@ -198,14 +236,12 @@ void thistle::runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
   }
 
   try {
-    GpBuildSpec Spec;
+    HierarchyGpSpec Spec;
     Spec.Mode = Options.Mode;
     Spec.Objective = Options.Objective;
-    Spec.PePerm = Plan.Classes[Task.QI].Representative;
-    Spec.DramPerm = Plan.Classes[Task.SI].Representative;
+    Spec.Perms = taskPerms(Plan, Task, Ctx.Machine.numLevels());
     Spec.TiledIters = Plan.TiledIters;
     Spec.SpatialUntiled = Options.SpatialUntiled;
-    Spec.Arch = Ctx.Arch;
     Spec.Tech = Ctx.Tech;
     Spec.AreaBudgetUm2 = Ctx.AreaBudgetUm2;
 
@@ -213,7 +249,7 @@ void thistle::runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
     unsigned TaskNewton = 0;
 
     GpSolveReport Solve;
-    GpBuild Build = buildGp(Ctx.Prob, Spec);
+    GpBuild Build = buildGp(Ctx.Prob, Ctx.Machine, Spec);
     GpSolution Solution =
         solveGpWithRetry(Build.Gp, Options.Solver, &Solve);
     TaskNewton += Solution.NewtonIterations;
@@ -223,7 +259,7 @@ void thistle::runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
       // that are actually feasible; retry with the product bound,
       // which is exact in the small-tile regime.
       Spec.Halo = HaloBound::ProductOfTerms;
-      Build = buildGp(Ctx.Prob, Spec);
+      Build = buildGp(Ctx.Prob, Ctx.Machine, Spec);
       GpSolveReport Fallback;
       Solution = solveGpWithRetry(Build.Gp, Options.Solver, &Fallback);
       TaskNewton += Solution.NewtonIterations;
@@ -235,7 +271,7 @@ void thistle::runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
 
     if (!Solution.Feasible ||
         Solution.Outcome == SolveOutcome::NonFinite) {
-      // Keep the historical stat for ANY pair that yields no feasible
+      // Keep the historical stat for ANY task that yields no feasible
       // iterate, whatever the cause, so Stats stay comparable.
       ++Acc.GpInfeasible;
       Entry.GpInfeasible = true;
@@ -269,39 +305,43 @@ void thistle::runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
           " attempts=" + std::to_string(Attempts));
     telemetry::count("thistle.pairs.solved");
 
-    RealSolution Real = extractSolution(Ctx.Prob, Build, Spec, Solution);
-    RoundedDesign Design =
-        roundSolution(Ctx.Prob, Spec, Real, Options.Rounding);
+    RealSolution Real = extractSolution(Ctx.Machine, Build, Solution);
+    RoundedHierarchyDesign Design =
+        roundSolution(Ctx.Prob, Ctx.Machine, Spec, Real, Options.Rounding);
     Acc.CandidatesEvaluated += Design.CandidatesTried;
     if (telemetry::metricsEnabled())
       telemetry::count("thistle.rounding.candidates",
                        Design.CandidatesTried);
     Entry.ModelObjective = Real.Objective;
-    if (!Design.Found) {
-      Entry.Design = Design;
-      if (Ctx.Cache)
-        Ctx.Cache->insert(Key, std::move(Entry));
+    bool Wins = false;
+    if (Design.Found) {
+      const double Obj = objectiveValue(Design.Eval, Options.Objective);
+      // The rounding gap: how much the integer design lost (or, rarely,
+      // gained) relative to the relaxed GP optimum for this task.
+      if (telemetry::metricsEnabled() && Real.Objective > 0.0)
+        telemetry::observe("thistle.rounding.rel_delta",
+                           (Obj - Real.Objective) / Real.Objective);
+      Entry.Obj = Obj;
+      Wins = pairWinsOver(Obj, TaskIdx, Acc);
+      if (Wins) {
+        Acc.Found = true;
+        Acc.Obj = Obj;
+        Acc.Task = TaskIdx;
+        Acc.ModelObjective = Real.Objective;
+      }
+    }
+    if (!Ctx.Classic) {
+      if (Wins)
+        Acc.Multi = std::move(Design);
       return;
     }
-
-    double Obj = objectiveValue(Design.Eval, Options.Objective);
-    // The rounding gap: how much the integer design lost (or, rarely,
-    // gained) relative to the relaxed GP optimum for this pair.
-    if (telemetry::metricsEnabled() && Real.Objective > 0.0)
-      telemetry::observe("thistle.rounding.rel_delta",
-                         (Obj - Real.Objective) / Real.Objective);
-    Entry.Obj = Obj;
-    Entry.Design = Design;
-    if (Ctx.Cache)
+    RoundedDesign Classic = classicDesign(Ctx.Prob, *Ctx.Classic, Design);
+    if (Ctx.Cache) {
+      Entry.Design = Classic;
       Ctx.Cache->insert(Key, std::move(Entry));
-    if (pairWinsOver(Obj, Task.QI, Task.SI, Acc)) {
-      Acc.Found = true;
-      Acc.Obj = Obj;
-      Acc.QI = Task.QI;
-      Acc.SI = Task.SI;
-      Acc.Design = std::move(Design);
-      Acc.ModelObjective = Real.Objective;
     }
+    if (Wins)
+      Acc.Design = std::move(Classic);
   } catch (const std::exception &E) {
     Acc.Report.record(TaskOutcome::Failed, TaskIdx, Task.QI, Task.SI, 0,
                       std::string("exception: ") + E.what());
@@ -316,12 +356,12 @@ void thistle::mergePairAccumulators(SweepAccumulator &A,
   A.CacheHits += B.CacheHits;
   A.CacheMisses += B.CacheMisses;
   A.Report.merge(std::move(B.Report));
-  if (B.Found && pairWinsOver(B.Obj, B.QI, B.SI, A)) {
+  if (B.Found && pairWinsOver(B.Obj, B.Task, A)) {
     A.Found = true;
     A.Obj = B.Obj;
-    A.QI = B.QI;
-    A.SI = B.SI;
+    A.Task = B.Task;
     A.Design = std::move(B.Design);
+    A.Multi = std::move(B.Multi);
     A.ModelObjective = B.ModelObjective;
   }
 }
@@ -341,19 +381,21 @@ void thistle::finishLayerResult(const LayerSweepPlan &Plan,
   Result.Stats.CacheHits = Total.CacheHits;
   Result.Stats.CacheMisses = Total.CacheMisses;
   Result.Report = std::move(Total.Report);
-  // Capped pairs enumerate after the planned ones, so appending their
+  // Capped tasks are indexed after the planned ones, so appending their
   // pre-recorded skips keeps the incident list in ascending task order.
   Result.Report.merge(SweepReport(Plan.CappedReport));
   // The fixed accounting: PairsSolved counts what actually produced an
   // iterate (clean or degraded), not what was planned.
   Result.Stats.PairsSolved = Result.Report.Solved + Result.Report.Degraded;
   if (Total.Found) {
+    const PairTask &Best = Plan.Pairs[Total.Task];
     Result.Found = true;
     Result.Arch = Total.Design.Arch;
     Result.Map = std::move(Total.Design.Map);
     Result.Eval = Total.Design.Eval;
+    Result.Multi = std::move(Total.Multi);
     Result.ModelObjective = Total.ModelObjective;
-    Result.BestPePerm = Plan.Classes[Total.QI].Representative;
-    Result.BestDramPerm = Plan.Classes[Total.SI].Representative;
+    Result.BestPePerm = Plan.Classes[Best.QI].Representative;
+    Result.BestDramPerm = Plan.Classes[Best.SI].Representative;
   }
 }

@@ -324,22 +324,29 @@ RoundedHierarchyDesign thistle::roundSolution(const Problem &Prob,
   return Best;
 }
 
-RoundedDesign thistle::roundSolution(const Problem &Prob,
-                                     const GpBuildSpec &Spec,
-                                     const RealSolution &Real,
-                                     const RoundingOptions &Options) {
-  RoundedHierarchyDesign Multi = roundSolution(
-      Prob, classicHierarchy(Spec), hierarchyGpSpec(Spec), Real, Options);
+RoundedDesign thistle::classicDesign(const Problem &Prob,
+                                     const ArchConfig &Arch,
+                                     const RoundedHierarchyDesign &Multi) {
   RoundedDesign Design;
   Design.CandidatesTried = Multi.CandidatesTried;
   if (!Multi.Found)
     return Design;
   Design.Found = true;
-  Design.Arch = Spec.Arch; // Keeps the bandwidth parameters.
+  Design.Arch = Arch; // Keeps the bandwidth parameters.
   Design.Arch.RegWordsPerPE = Multi.Arch.Levels[0].CapacityWords;
   Design.Arch.SramWords = Multi.Arch.Levels[1].CapacityWords;
   Design.Arch.NumPEs = Multi.Arch.NumPEs;
   Design.Map = Multi.Map.toMapping();
   Design.Eval = evalResultFromMulti(Prob, Design.Arch, Multi.Eval);
   return Design;
+}
+
+RoundedDesign thistle::roundSolution(const Problem &Prob,
+                                     const GpBuildSpec &Spec,
+                                     const RealSolution &Real,
+                                     const RoundingOptions &Options) {
+  return classicDesign(
+      Prob, Spec.Arch,
+      roundSolution(Prob, Hierarchy::classic3Level(Spec.Arch, Spec.Tech),
+                    hierarchyGpSpec(Spec), Real, Options));
 }

@@ -111,6 +111,11 @@ RoundedHierarchyDesign roundSolution(const Problem &Prob, const Hierarchy &H,
                                      const RealSolution &Real,
                                      const RoundingOptions &Options);
 
+/// \p Design, rounded on Hierarchy::classic3Level(\p Arch, ...), in the
+/// classic machine's terms.
+RoundedDesign classicDesign(const Problem &Prob, const ArchConfig &Arch,
+                            const RoundedHierarchyDesign &Design);
+
 /// Rounds \p Real (obtained from the GP built with the classic \p Spec)
 /// on its classic machine.
 RoundedDesign roundSolution(const Problem &Prob, const GpBuildSpec &Spec,

@@ -3,21 +3,24 @@
 // Validates the multilevel generalization three ways: against its own
 // brute-force oracle on random mappings and hierarchies, against the
 // fixed 4-level pipeline on the classic machine (they must agree
-// exactly), and end-to-end through the multilevel GP optimizer.
+// exactly), and end-to-end through optimizeLayer on a hierarchy.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ir/Builders.h"
-#include "multilevel/MultiGp.h"
 #include "multilevel/MultiSim.h"
 #include "nestmodel/Evaluator.h"
 #include "nestmodel/Mapper.h"
 #include "support/MathUtil.h"
 #include "support/Rng.h"
+#include "thistle/GpCache.h"
 #include "thistle/Optimizer.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
 
 using namespace thistle;
 
@@ -385,11 +388,12 @@ TEST(MultiNestAnalysis, ClassicHierarchyAgreesWithFixedPipeline) {
 }
 
 TEST(MultiGp, ClassicHierarchyMatchesFixedOptimizer) {
-  // On the classic machine the L-level sweep builds, solves and rounds
-  // the programs of the pair sweep, in the same order and with the same
-  // tie-break: with every combo solved and no problem symmetry for the
-  // pair sweep to prune (H != W), both return the same design, bit for
-  // bit, in dataflow mode and in co-design.
+  // Both optimizeLayer overloads run one sweep: on the classic machine,
+  // given as a Hierarchy, it plans, prunes, builds, solves and rounds
+  // the programs of the ArchConfig overload, in the same order and with
+  // the same tie-break, so both return the same design, bit for bit, in
+  // dataflow mode and in co-design, on layers with and without the H/W
+  // symmetry.
   const TechParams Tech = TechParams::cgo45nm();
   const ArchConfig Arch = eyerissArch();
   const Hierarchy H = Hierarchy::classic3Level(Arch, Tech);
@@ -408,15 +412,19 @@ TEST(MultiGp, ClassicHierarchyMatchesFixedOptimizer) {
     return L;
   };
   const std::vector<ConvLayer> Layers = {
-      layer(16, 8, 14, 10, 1, 1),  // dense
-      layer(16, 8, 16, 12, 2, 1),  // strided
-      layer(16, 16, 14, 10, 1, 16) // depthwise
+      layer(16, 8, 14, 10, 1, 1),   // dense
+      layer(16, 8, 16, 12, 2, 1),   // strided
+      layer(16, 16, 14, 10, 1, 16), // depthwise
+      layer(16, 8, 14, 14, 1, 1),   // dense, H == W
+      layer(16, 16, 14, 14, 1, 16)  // depthwise, H == W
   };
   for (const ConvLayer &Layer : Layers)
     for (DesignMode Mode : {DesignMode::DataflowOnly, DesignMode::CoDesign})
       for (SearchObjective Objective :
            {SearchObjective::Energy, SearchObjective::Delay}) {
-        SCOPED_TRACE(std::string(Layer.layerClass()) +
+        SCOPED_TRACE(std::string(Layer.layerClass()) + " " +
+                     std::to_string(Layer.Hin) + "x" +
+                     std::to_string(Layer.Win) +
                      (Mode == DesignMode::CoDesign ? " co-design" : "") +
                      (Objective == SearchObjective::Delay ? " delay"
                                                           : " energy"));
@@ -428,31 +436,31 @@ TEST(MultiGp, ClassicHierarchyMatchesFixedOptimizer) {
         TOpts.Objective = Objective;
         const ThistleResult Fixed = optimizeLayer(P, Arch, Tech, TOpts, Area);
         ASSERT_TRUE(Fixed.Found);
-        ASSERT_EQ(Fixed.Stats.PairsSkippedBySymmetry, 0u);
+        EXPECT_EQ(Fixed.Stats.PairsSkippedBySymmetry > 0,
+                  Layer.Hin == Layer.Win);
 
-        MultiOptions MOpts;
-        MOpts.Objective = Objective;
-        MOpts.CoDesignCapacities = Mode == DesignMode::CoDesign;
-        MOpts.AreaBudgetUm2 = Area;
-        MOpts.Tech = Tech;
-        MOpts.MaxPermCombos = Fixed.Stats.PairsTotal;
-        const MultiResult Multi = optimizeHierarchy(P, H, MOpts);
+        const ThistleResult Multi = optimizeLayer(P, H, Tech, TOpts, {}, Area);
         ASSERT_TRUE(Multi.Found);
-        EXPECT_EQ(Multi.Report.total(), Fixed.Stats.PairsTotal);
+        EXPECT_EQ(Multi.Stats.PairsTotal, Fixed.Stats.PairsTotal);
+        EXPECT_EQ(Multi.Stats.PairsSkippedBySymmetry,
+                  Fixed.Stats.PairsSkippedBySymmetry);
+        EXPECT_EQ(Multi.Stats.PairsPlanned, Fixed.Stats.PairsPlanned);
+        EXPECT_EQ(Multi.Report.total(), Fixed.Report.total());
         EXPECT_EQ(Multi.Report.Solved, Fixed.Report.Solved);
         EXPECT_EQ(Multi.Report.Infeasible, Fixed.Report.Infeasible);
 
-        const Mapping Map = Multi.Map.toMapping();
+        const Mapping Map = Multi.Multi.Map.toMapping();
         EXPECT_EQ(Map.Factors, Fixed.Map.Factors) << Map.toString(P)
                                                   << Fixed.Map.toString(P);
         EXPECT_EQ(Map.PePerm, Fixed.Map.PePerm);
         EXPECT_EQ(Map.DramPerm, Fixed.Map.DramPerm);
-        EXPECT_EQ(Multi.Arch.Levels[0].CapacityWords,
+        EXPECT_EQ(Multi.Multi.Arch.Levels[0].CapacityWords,
                   Fixed.Arch.RegWordsPerPE);
-        EXPECT_EQ(Multi.Arch.Levels[1].CapacityWords, Fixed.Arch.SramWords);
-        EXPECT_EQ(Multi.Arch.NumPEs, Fixed.Arch.NumPEs);
-        EXPECT_EQ(Multi.Eval.EnergyPj, Fixed.Eval.EnergyPj);
-        EXPECT_EQ(Multi.Eval.Cycles, Fixed.Eval.Cycles);
+        EXPECT_EQ(Multi.Multi.Arch.Levels[1].CapacityWords,
+                  Fixed.Arch.SramWords);
+        EXPECT_EQ(Multi.Multi.Arch.NumPEs, Fixed.Arch.NumPEs);
+        EXPECT_EQ(Multi.Multi.Eval.EnergyPj, Fixed.Eval.EnergyPj);
+        EXPECT_EQ(Multi.Multi.Eval.Cycles, Fixed.Eval.Cycles);
         EXPECT_EQ(Multi.ModelObjective, Fixed.ModelObjective);
       }
 }
@@ -473,14 +481,14 @@ TEST(MultiGp, ScratchpadHierarchyProducesLegalDesign) {
   ASSERT_TRUE(H.validate().empty());
   ASSERT_EQ(H.numLevels(), 4u);
 
-  MultiOptions MOpts;
-  MOpts.MaxPermCombos = 12;
-  MultiResult R = optimizeHierarchy(P, H, MOpts);
+  ThistleOptions O;
+  O.MaxPermClassPairs = 12;
+  ThistleResult R = optimizeLayer(P, H, Tech, O);
   ASSERT_TRUE(R.Found);
-  EXPECT_TRUE(R.Eval.Legal);
-  EXPECT_TRUE(R.Map.validate(P, H).empty());
+  EXPECT_TRUE(R.Multi.Eval.Legal);
+  EXPECT_TRUE(R.Multi.Map.validate(P, H).empty());
   // The scratchpad must actually hold tiles within its capacity.
-  EXPECT_LE(R.Eval.Profile.Occupancy[1], 2048);
+  EXPECT_LE(R.Multi.Eval.Profile.Occupancy[1], 2048);
 }
 
 TEST(MultiGp, DelayObjectiveUsesParallelism) {
@@ -492,25 +500,140 @@ TEST(MultiGp, DelayObjectiveUsesParallelism) {
   L.R = 3;
   L.S = 3;
   Problem P = makeConvProblem(L);
-  MultiOptions MOpts;
-  MOpts.Objective = SearchObjective::Delay;
-  MOpts.MaxPermCombos = 8;
-  MultiResult R = optimizeHierarchy(
-      P, Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm()), MOpts);
+  ThistleOptions O;
+  O.Objective = SearchObjective::Delay;
+  O.MaxPermClassPairs = 8;
+  ThistleResult R = optimizeLayer(
+      P, Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm()),
+      TechParams::cgo45nm(), O);
   ASSERT_TRUE(R.Found);
-  EXPECT_GT(R.Eval.MacIpc, 4.0);
+  EXPECT_GT(R.Multi.Eval.MacIpc, 4.0);
 }
 
 TEST(MultiGp, DeterministicAcrossRuns) {
   Problem P = smallConvProblem();
-  MultiOptions MOpts;
-  MOpts.MaxPermCombos = 6;
+  ThistleOptions O;
+  O.MaxPermClassPairs = 6;
   Hierarchy H = Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm());
-  MultiResult A = optimizeHierarchy(P, H, MOpts);
-  MultiResult B = optimizeHierarchy(P, H, MOpts);
+  ThistleResult A = optimizeLayer(P, H, TechParams::cgo45nm(), O);
+  ThistleResult B = optimizeLayer(P, H, TechParams::cgo45nm(), O);
   ASSERT_TRUE(A.Found);
   ASSERT_TRUE(B.Found);
-  EXPECT_DOUBLE_EQ(A.Eval.EnergyPj, B.Eval.EnergyPj);
+  EXPECT_DOUBLE_EQ(A.Multi.Eval.EnergyPj, B.Multi.Eval.EnergyPj);
+}
+
+namespace {
+
+/// The spad4 machine of thistle-opt --hierarchy spad4.
+Hierarchy spad4Machine() {
+  return Hierarchy::withScratchpad(eyerissArch(), TechParams::cgo45nm(),
+                                   /*SpadWords=*/512,
+                                   eyerissArch().SramWords);
+}
+
+std::string hexDouble(double V) {
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), "%a", V);
+  return Buf;
+}
+
+ConvLayer squareLayer() {
+  ConvLayer L;
+  L.K = 16;
+  L.C = 8;
+  L.Hin = 14;
+  L.Win = 14;
+  L.R = 3;
+  L.S = 3;
+  return L;
+}
+
+} // namespace
+
+TEST(MultiGp, ScratchpadSweepPrunesAndIsThreadCountInvariant) {
+  // On a 4-level machine a plan holds one class per permuted level; the
+  // H/W symmetry prunes mirror triples as it prunes classic pairs, and
+  // the default cap (classes^2) spreads the planned triples over the
+  // pruned ones.
+  const Problem P = makeConvProblem(squareLayer());
+  const Hierarchy H = spad4Machine();
+  ThistleOptions O;
+  O.Threads = 1;
+  const ThistleResult Ref = optimizeLayer(P, H, TechParams::cgo45nm(), O);
+  ASSERT_TRUE(Ref.Found);
+  const unsigned Classes = Ref.Stats.PermClassesPerLevel;
+  EXPECT_EQ(Ref.Stats.PairsTotal, Classes * Classes * Classes);
+  EXPECT_GT(Ref.Stats.PairsSkippedBySymmetry, 0u);
+  const unsigned Pruned =
+      Ref.Stats.PairsTotal - Ref.Stats.PairsSkippedBySymmetry;
+  EXPECT_EQ(Ref.Stats.PairsPlanned, std::min(Pruned, Classes * Classes));
+  EXPECT_EQ(Ref.Report.total(), Pruned);
+  EXPECT_EQ(Ref.Report.SkippedByPolicy, Pruned - Ref.Stats.PairsPlanned);
+  EXPECT_TRUE(Ref.Report.clean());
+
+  for (unsigned Threads : {2u, 8u}) {
+    SCOPED_TRACE(std::to_string(Threads) + " threads");
+    O.Threads = Threads;
+    const ThistleResult R = optimizeLayer(P, H, TechParams::cgo45nm(), O);
+    ASSERT_TRUE(R.Found);
+    EXPECT_EQ(R.Multi.Eval.EnergyPj, Ref.Multi.Eval.EnergyPj);
+    EXPECT_EQ(R.Multi.Eval.Cycles, Ref.Multi.Eval.Cycles);
+    EXPECT_EQ(R.Multi.Map.TempFactors, Ref.Multi.Map.TempFactors);
+    EXPECT_EQ(R.Multi.Map.SpatialFactors, Ref.Multi.Map.SpatialFactors);
+    EXPECT_EQ(R.ModelObjective, Ref.ModelObjective);
+    EXPECT_EQ(R.Stats.NewtonIterations, Ref.Stats.NewtonIterations);
+    EXPECT_EQ(R.BestPePerm, Ref.BestPePerm);
+    EXPECT_EQ(R.BestDramPerm, Ref.BestDramPerm);
+  }
+}
+
+TEST(MultiGp, ScratchpadWinnersArePinned) {
+  // The spad4 winners of two layers, bit for bit: a change to the
+  // non-classic plan (pruning, the cap's spread) or to the sweep moves
+  // them.
+  struct Case {
+    ConvLayer Layer;
+    SearchObjective Objective;
+    const char *Energy, *Cycles;
+  };
+  ConvLayer Strided = squareLayer();
+  Strided.K = 32;
+  Strided.Hin = Strided.Win = 16;
+  Strided.StrideX = Strided.StrideY = 2;
+  const Case Cases[] = {
+      {squareLayer(), SearchObjective::Energy, "0x1.7a2d4183c08e6p+22",
+       "0x1.b9p+12"},
+      {Strided, SearchObjective::Delay, "0x1.c48f19e1c041dp+22",
+       "0x1p+10"},
+  };
+  for (const Case &C : Cases) {
+    ThistleOptions O;
+    O.Objective = C.Objective;
+    const ThistleResult R = optimizeLayer(makeConvProblem(C.Layer),
+                                          spad4Machine(),
+                                          TechParams::cgo45nm(), O);
+    ASSERT_TRUE(R.Found);
+    EXPECT_EQ(hexDouble(R.Multi.Eval.EnergyPj), C.Energy);
+    EXPECT_EQ(hexDouble(R.Multi.Eval.Cycles), C.Cycles);
+  }
+}
+
+TEST(MultiGp, ScratchpadSweepNeverTouchesTheCache) {
+  // The GP cache's keys name a classic ArchConfig, not the machine, so
+  // a non-classic sweep neither reads nor writes a cache it is handed.
+  GpSolutionCache Cache;
+  ThistleOptions O;
+  O.MaxPermClassPairs = 8;
+  LayerRunContext Run;
+  Run.Cache = &Cache;
+  const ThistleResult R = optimizeLayer(makeConvProblem(squareLayer()),
+                                        spad4Machine(),
+                                        TechParams::cgo45nm(), O, Run);
+  ASSERT_TRUE(R.Found);
+  EXPECT_EQ(Cache.hits(), 0u);
+  EXPECT_EQ(Cache.misses(), 0u);
+  EXPECT_EQ(Cache.size(), 0u);
+  EXPECT_EQ(R.Stats.CacheHits + R.Stats.CacheMisses, 0u);
 }
 
 TEST(MultiCoDesign, RespectsAreaBudgetAndBeatsEyeriss) {
@@ -530,23 +653,23 @@ TEST(MultiCoDesign, RespectsAreaBudgetAndBeatsEyeriss) {
   ArchConfig Arch = eyerissArch();
   Hierarchy H = Hierarchy::classic3Level(Arch, Tech);
 
-  MultiOptions Fixed;
-  Fixed.MaxPermCombos = 8;
-  MultiResult FixedRes = optimizeHierarchy(P, H, Fixed);
+  ThistleOptions Fixed;
+  Fixed.MaxPermClassPairs = 8;
+  ThistleResult FixedRes = optimizeLayer(P, H, Tech, Fixed);
   ASSERT_TRUE(FixedRes.Found);
 
-  MultiOptions Co = Fixed;
-  Co.CoDesignCapacities = true;
-  Co.AreaBudgetUm2 = eyerissAreaUm2(Tech);
-  MultiResult CoRes = optimizeHierarchy(P, H, Co);
+  ThistleOptions Co = Fixed;
+  Co.Mode = DesignMode::CoDesign;
+  const double Area = eyerissAreaUm2(Tech);
+  ThistleResult CoRes = optimizeLayer(P, H, Tech, Co, {}, Area);
   ASSERT_TRUE(CoRes.Found);
-  EXPECT_TRUE(CoRes.Eval.Legal);
-  EXPECT_LE(CoRes.Arch.areaUm2(Tech), Co.AreaBudgetUm2 * 1.0000001);
-  for (unsigned Lv = 0; Lv + 1 < CoRes.Arch.numLevels(); ++Lv)
-    EXPECT_TRUE(isPowerOfTwo(CoRes.Arch.Levels[Lv].CapacityWords));
+  EXPECT_TRUE(CoRes.Multi.Eval.Legal);
+  EXPECT_LE(CoRes.Multi.Arch.areaUm2(Tech), Area * 1.0000001);
+  for (unsigned Lv = 0; Lv + 1 < CoRes.Multi.Arch.numLevels(); ++Lv)
+    EXPECT_TRUE(isPowerOfTwo(CoRes.Multi.Arch.Levels[Lv].CapacityWords));
   // Co-design at equal area should clearly beat the Eyeriss capacities
   // (Fig. 5's trend, reproduced through the multilevel path).
-  EXPECT_LT(CoRes.Eval.EnergyPj, FixedRes.Eval.EnergyPj * 0.7);
+  EXPECT_LT(CoRes.Multi.Eval.EnergyPj, FixedRes.Multi.Eval.EnergyPj * 0.7);
 }
 
 TEST(MultiCoDesign, FourLevelCoDesignIsLegalAtEqualArea) {
@@ -561,17 +684,18 @@ TEST(MultiCoDesign, FourLevelCoDesignIsLegalAtEqualArea) {
   TechParams Tech = TechParams::cgo45nm();
   Hierarchy H = Hierarchy::withScratchpad(eyerissArch(), Tech, 1024,
                                           eyerissArch().SramWords);
-  MultiOptions Co;
-  Co.MaxPermCombos = 8;
-  Co.CoDesignCapacities = true;
-  Co.AreaBudgetUm2 = eyerissAreaUm2(Tech);
-  MultiResult R = optimizeHierarchy(P, H, Co);
+  ThistleOptions Co;
+  Co.MaxPermClassPairs = 8;
+  Co.Mode = DesignMode::CoDesign;
+  const double Area = eyerissAreaUm2(Tech);
+  ThistleResult R = optimizeLayer(P, H, Tech, Co, {}, Area);
   ASSERT_TRUE(R.Found);
-  EXPECT_TRUE(R.Eval.Legal);
-  EXPECT_LE(R.Arch.areaUm2(Tech), Co.AreaBudgetUm2 * 1.0000001);
-  EXPECT_EQ(R.Arch.numLevels(), 4u);
+  EXPECT_TRUE(R.Multi.Eval.Legal);
+  EXPECT_LE(R.Multi.Arch.areaUm2(Tech), Area * 1.0000001);
+  EXPECT_EQ(R.Multi.Arch.numLevels(), 4u);
   // The scratchpad occupancy must respect the co-designed capacity.
-  EXPECT_LE(R.Eval.Profile.Occupancy[1], R.Arch.Levels[1].CapacityWords);
+  EXPECT_LE(R.Multi.Eval.Profile.Occupancy[1],
+            R.Multi.Arch.Levels[1].CapacityWords);
 }
 
 TEST(MultiGp, TwoLevelHierarchyWorks) {
@@ -586,12 +710,12 @@ TEST(MultiGp, TwoLevelHierarchyWorks) {
   H.Levels = {{"RegisterFile", 4096, 0.25, 1e9},
               {"DRAM", 0, 128.0, 16.0}};
   ASSERT_TRUE(H.validate().empty());
-  MultiOptions O;
-  O.MaxPermCombos = 6;
-  MultiResult R = optimizeHierarchy(P, H, O);
+  ThistleOptions O;
+  O.MaxPermClassPairs = 6;
+  ThistleResult R = optimizeLayer(P, H, TechParams::cgo45nm(), O);
   ASSERT_TRUE(R.Found);
-  EXPECT_TRUE(R.Eval.Legal);
-  EXPECT_EQ(R.Eval.Profile.Words.size(), 1u);
+  EXPECT_TRUE(R.Multi.Eval.Legal);
+  EXPECT_EQ(R.Multi.Eval.Profile.Words.size(), 1u);
 }
 
 TEST(MultiGp, FanoutAtTopLevelWorks) {
@@ -599,11 +723,11 @@ TEST(MultiGp, FanoutAtTopLevelWorks) {
   // shared.
   Problem P = smallConvProblem();
   Hierarchy H = testHierarchy(3, 2);
-  MultiOptions O;
-  O.MaxPermCombos = 6;
-  MultiResult R = optimizeHierarchy(P, H, O);
+  ThistleOptions O;
+  O.MaxPermClassPairs = 6;
+  ThistleResult R = optimizeLayer(P, H, TechParams::cgo45nm(), O);
   ASSERT_TRUE(R.Found);
-  EXPECT_TRUE(R.Eval.Legal);
+  EXPECT_TRUE(R.Multi.Eval.Legal);
 }
 
 // ---- Robustness: structured parse errors, validation, degradation ---------
@@ -690,7 +814,8 @@ TEST(Hierarchy, ParseExpectedOverloadRoundTrips) {
 TEST(MultiGp, RejectsInvalidHierarchy) {
   Problem P = smallConvProblem();
   Hierarchy Bad; // Zero levels: validate() cannot pass.
-  MultiResult R = optimizeHierarchy(P, Bad);
+  ThistleResult R =
+      optimizeLayer(P, Bad, TechParams::cgo45nm(), ThistleOptions());
   EXPECT_FALSE(R.Found);
   ASSERT_FALSE(R.InputStatus.isOk());
   EXPECT_EQ(R.InputStatus.code(), StatusCode::InvalidArgument);
@@ -700,22 +825,36 @@ TEST(MultiGp, RejectsInvalidHierarchy) {
 TEST(MultiGp, RejectsCoDesignWithoutBudget) {
   Problem P = smallConvProblem();
   Hierarchy H = Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm());
-  MultiOptions O;
-  O.CoDesignCapacities = true;
-  O.AreaBudgetUm2 = 0.0;
-  MultiResult R = optimizeHierarchy(P, H, O);
+  ThistleOptions O;
+  O.Mode = DesignMode::CoDesign;
+  ThistleResult R = optimizeLayer(P, H, TechParams::cgo45nm(), O, {},
+                                  /*AreaBudgetUm2=*/0.0);
   EXPECT_FALSE(R.Found);
   ASSERT_FALSE(R.InputStatus.isOk());
   EXPECT_EQ(R.InputStatus.code(), StatusCode::InvalidArgument);
 }
 
-TEST(MultiGp, ExpiredDeadlineSkipsAllCombos) {
+TEST(MultiGp, RejectsTupleSpaceBeyondThePlanner) {
+  // Every permuted level multiplies the tuple space by the class count;
+  // past MaxSweepTuples the sweep is refused before any tuple is
+  // enumerated, not planned into millions of report incidents.
+  const Problem P = makeConvProblem(squareLayer());
+  ThistleResult R = optimizeLayer(P, testHierarchy(10, 1),
+                                  TechParams::cgo45nm(), ThistleOptions());
+  EXPECT_FALSE(R.Found);
+  ASSERT_FALSE(R.InputStatus.isOk());
+  EXPECT_EQ(R.InputStatus.code(), StatusCode::InvalidArgument);
+  EXPECT_NE(R.InputStatus.message().find("tuples"), std::string::npos);
+  EXPECT_EQ(R.Report.total(), 0u);
+}
+
+TEST(MultiGp, ExpiredDeadlineSkipsAllPairs) {
   Problem P = smallConvProblem();
   Hierarchy H = Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm());
-  MultiOptions O;
-  O.MaxPermCombos = 6;
+  ThistleOptions O;
+  O.MaxPermClassPairs = 6;
   O.DeadlineAt = std::chrono::steady_clock::now() - std::chrono::hours(1);
-  MultiResult R = optimizeHierarchy(P, H, O);
+  ThistleResult R = optimizeLayer(P, H, TechParams::cgo45nm(), O);
   EXPECT_FALSE(R.Found);
   EXPECT_TRUE(R.InputStatus.isOk());
   EXPECT_TRUE(R.Report.DeadlineExpired);
@@ -726,14 +865,14 @@ TEST(MultiGp, ExpiredDeadlineSkipsAllCombos) {
 TEST(MultiGp, FarFutureDeadlineMatchesUnboundedRun) {
   Problem P = smallConvProblem();
   Hierarchy H = Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm());
-  MultiOptions O;
-  O.MaxPermCombos = 6;
-  MultiResult Ref = optimizeHierarchy(P, H, O);
+  ThistleOptions O;
+  O.MaxPermClassPairs = 6;
+  ThistleResult Ref = optimizeLayer(P, H, TechParams::cgo45nm(), O);
   ASSERT_TRUE(Ref.Found);
   O.DeadlineAt = std::chrono::steady_clock::now() + std::chrono::hours(24);
-  MultiResult R = optimizeHierarchy(P, H, O);
+  ThistleResult R = optimizeLayer(P, H, TechParams::cgo45nm(), O);
   ASSERT_TRUE(R.Found);
-  EXPECT_EQ(R.Eval.EnergyPj, Ref.Eval.EnergyPj);
+  EXPECT_EQ(R.Multi.Eval.EnergyPj, Ref.Multi.Eval.EnergyPj);
   EXPECT_EQ(R.ModelObjective, Ref.ModelObjective);
   EXPECT_FALSE(R.Report.DeadlineExpired);
 }
@@ -748,17 +887,17 @@ struct MultiFaultGuard {
 
 } // namespace
 
-TEST(MultiGp, PoisonedComboDegradesGracefully) {
+TEST(MultiGp, PoisonedPairDegradesGracefully) {
   MultiFaultGuard G;
   Problem P = smallConvProblem();
   Hierarchy H = Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm());
-  MultiOptions O;
-  O.MaxPermCombos = 6;
+  ThistleOptions O;
+  O.MaxPermClassPairs = 6;
   O.Threads = 1;
 
-  fault::arm("multigp.combo", /*Key=*/0, /*MaxHits=*/1);
-  MultiResult Ref = optimizeHierarchy(P, H, O);
-  ASSERT_TRUE(Ref.Found); // Best of the surviving combos.
+  fault::arm("thistle.pair", /*Key=*/0, /*MaxHits=*/1);
+  ThistleResult Ref = optimizeLayer(P, H, TechParams::cgo45nm(), O);
+  ASSERT_TRUE(Ref.Found); // Best of the surviving pairs.
   EXPECT_EQ(Ref.Report.Failed, 1u);
   const SweepIncident *Poisoned = nullptr;
   for (const SweepIncident &I : Ref.Report.Incidents)
@@ -770,11 +909,11 @@ TEST(MultiGp, PoisonedComboDegradesGracefully) {
 
   for (unsigned Threads : {2u, 8u}) {
     SCOPED_TRACE(std::to_string(Threads) + " threads");
-    fault::arm("multigp.combo", /*Key=*/0, /*MaxHits=*/1);
+    fault::arm("thistle.pair", /*Key=*/0, /*MaxHits=*/1);
     O.Threads = Threads;
-    MultiResult R = optimizeHierarchy(P, H, O);
+    ThistleResult R = optimizeLayer(P, H, TechParams::cgo45nm(), O);
     ASSERT_TRUE(R.Found);
-    EXPECT_EQ(R.Eval.EnergyPj, Ref.Eval.EnergyPj);
+    EXPECT_EQ(R.Multi.Eval.EnergyPj, Ref.Multi.Eval.EnergyPj);
     EXPECT_EQ(R.ModelObjective, Ref.ModelObjective);
     EXPECT_EQ(R.Report.Failed, Ref.Report.Failed);
     EXPECT_EQ(R.Report.Solved, Ref.Report.Solved);

@@ -15,6 +15,28 @@ set(PIDFILE ${WORK_DIR}/serve-pid.txt)
 file(REMOVE_RECURSE ${DIR})
 file(REMOVE ${PORTFILE} ${PIDFILE})
 
+# Every failure goes through here: it kills the daemon the PID file
+# names and waits until it is gone, so a failed check never leaves one
+# behind, then fails.
+function(die MSG)
+  if(EXISTS ${PIDFILE})
+    file(READ ${PIDFILE} PID)
+    string(STRIP "${PID}" PID)
+    execute_process(COMMAND sh -c "kill -9 ${PID} 2>/dev/null; \
+for i in $(seq 100); do kill -0 ${PID} 2>/dev/null || break; sleep 0.1; done")
+  endif()
+  message(FATAL_ERROR "${MSG}")
+endfunction()
+
+# Runs a command and dies naming WHAT unless it exits 0.
+function(must_pass WHAT)
+  execute_process(COMMAND ${ARGN}
+    OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE CODE)
+  if(NOT CODE EQUAL 0)
+    die("${WHAT}: exit '${CODE}'\n${OUT}\n${ERR}")
+  endif()
+endfunction()
+
 # The layer and network queries the daemon will be asked to solve, and
 # the equivalent standalone thistle-opt invocations they must match.
 set(Q_LAYER "{\"schema\":\"thistle-serve/1\",\"id\":1,\"query\":{\"workload\":{\"layer\":[16,8,14,14,3,3]}}}")
@@ -28,7 +50,7 @@ function(wait_for_file PATH WHAT)
     endif()
     execute_process(COMMAND sh -c "sleep 0.1")
   endforeach()
-  message(FATAL_ERROR "timed out waiting for ${WHAT} (${PATH})")
+  die("timed out waiting for ${WHAT} (${PATH})")
 endfunction()
 
 function(wait_for_exit WHAT)
@@ -38,11 +60,12 @@ function(wait_for_exit WHAT)
     execute_process(COMMAND sh -c "kill -0 ${PID} 2>/dev/null"
       RESULT_VARIABLE ALIVE)
     if(NOT ALIVE EQUAL 0)
+      file(REMOVE ${PIDFILE})
       return()
     endif()
     execute_process(COMMAND sh -c "sleep 0.1")
   endforeach()
-  message(FATAL_ERROR "timed out waiting for ${WHAT} to exit (pid ${PID})")
+  die("timed out waiting for ${WHAT} to exit (pid ${PID})")
 endfunction()
 
 function(start_daemon REPORT LOG)
@@ -53,7 +76,7 @@ function(start_daemon REPORT LOG)
 > '${LOG}' 2>&1 & echo $! > '${PIDFILE}'"
     RESULT_VARIABLE CODE)
   if(NOT CODE EQUAL 0)
-    message(FATAL_ERROR "could not launch thistle-serve ('${CODE}')")
+    die("could not launch thistle-serve ('${CODE}')")
   endif()
   wait_for_file(${PORTFILE} "daemon port file")
 endfunction()
@@ -69,7 +92,7 @@ function(run_query OUTFILE)
     ERROR_VARIABLE ERR
     RESULT_VARIABLE CODE)
   if(NOT CODE EQUAL 0)
-    message(FATAL_ERROR "thistle-query exit '${CODE}'\n${ERR}")
+    die("thistle-query exit '${CODE}'\n${ERR}")
   endif()
 endfunction()
 
@@ -93,21 +116,10 @@ endfunction()
 
 # 1. Standalone baselines: what thistle-opt computes for the same
 #    problems, with run reports for the report-identity check below.
-execute_process(
-  COMMAND ${OPT} --layer 16,8,14,14,3,3
-          --trace-json ${WORK_DIR}/serve-opt-layer.json
-  OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE CODE)
-if(NOT CODE EQUAL 0)
-  message(FATAL_ERROR "layer baseline: expected exit 0, got '${CODE}'\n${ERR}")
-endif()
-execute_process(
-  COMMAND ${OPT} --network resnet18 --threads 2
-          --trace-json ${WORK_DIR}/serve-opt-net.json
-  OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE CODE)
-if(NOT CODE EQUAL 0)
-  message(FATAL_ERROR
-    "network baseline: expected exit 0, got '${CODE}'\n${ERR}")
-endif()
+must_pass("layer baseline" ${OPT} --layer 16,8,14,14,3,3
+  --trace-json ${WORK_DIR}/serve-opt-layer.json)
+must_pass("network baseline" ${OPT} --network resnet18 --threads 2
+  --trace-json ${WORK_DIR}/serve-opt-net.json)
 
 # 2. First daemon lifetime: cold solve, hot replay, concurrent race.
 start_daemon(${WORK_DIR}/serve-report-1.json ${WORK_DIR}/serve-log-1.txt)
@@ -115,7 +127,7 @@ start_daemon(${WORK_DIR}/serve-report-1.json ${WORK_DIR}/serve-log-1.txt)
 run_query(${WORK_DIR}/serve-r1.jsonl --request ${Q_LAYER})
 first_line(COLD ${WORK_DIR}/serve-r1.jsonl)
 if(NOT COLD MATCHES "\"status\":\"ok\"")
-  message(FATAL_ERROR "cold layer query did not succeed\n${COLD}")
+  die("cold layer query did not succeed\n${COLD}")
 endif()
 
 run_query(${WORK_DIR}/serve-r2.jsonl --request ${Q_LAYER})
@@ -123,9 +135,8 @@ first_line(HOT ${WORK_DIR}/serve-r2.jsonl)
 strip_server(COLD_CORE "${COLD}")
 strip_server(HOT_CORE "${HOT}")
 if(NOT COLD_CORE STREQUAL HOT_CORE)
-  message(FATAL_ERROR
-    "hot replay diverged from the cold solve\n"
-    "---- cold ----\n${COLD_CORE}\n---- hot ----\n${HOT_CORE}")
+  die("hot replay diverged from the cold solve\n\
+---- cold ----\n${COLD_CORE}\n---- hot ----\n${HOT_CORE}")
 endif()
 
 # Eight identical requests racing on their own connections must
@@ -139,7 +150,7 @@ run_query(${WORK_DIR}/serve-r3.jsonl --parallel --file ${RACE})
 file(STRINGS ${WORK_DIR}/serve-r3.jsonl RACE_LINES)
 list(LENGTH RACE_LINES N)
 if(NOT N EQUAL 8)
-  message(FATAL_ERROR "race: expected 8 responses, got ${N}")
+  die("race: expected 8 responses, got ${N}")
 endif()
 set(RACE_CORES "")
 foreach(L ${RACE_LINES})
@@ -149,14 +160,12 @@ endforeach()
 list(REMOVE_DUPLICATES RACE_CORES)
 list(LENGTH RACE_CORES UNIQUE)
 if(NOT UNIQUE EQUAL 1)
-  message(FATAL_ERROR
-    "race: ${UNIQUE} distinct answers to identical queries\n${RACE_CORES}")
+  die("race: ${UNIQUE} distinct answers to identical queries\n${RACE_CORES}")
 endif()
 list(GET RACE_CORES 0 RACE_CORE)
 if(NOT RACE_CORE STREQUAL COLD_CORE)
-  message(FATAL_ERROR
-    "race: concurrent answer diverged from the cold solve\n"
-    "---- cold ----\n${COLD_CORE}\n---- raced ----\n${RACE_CORE}")
+  die("race: concurrent answer diverged from the cold solve\n\
+---- cold ----\n${COLD_CORE}\n---- raced ----\n${RACE_CORE}")
 endif()
 
 # Network-level query, an expired deadline (must degrade, not crash),
@@ -165,13 +174,13 @@ endif()
 run_query(${WORK_DIR}/serve-r4.jsonl --request ${Q_NET})
 first_line(NET ${WORK_DIR}/serve-r4.jsonl)
 if(NOT NET MATCHES "\"status\":\"ok\"")
-  message(FATAL_ERROR "network query did not succeed\n${NET}")
+  die("network query did not succeed\n${NET}")
 endif()
 
 run_query(${WORK_DIR}/serve-r5.jsonl --request ${Q_DEADLINE})
 first_line(DL ${WORK_DIR}/serve-r5.jsonl)
 if(NOT DL MATCHES "\"status\":\"(ok|degraded|no-design)\"")
-  message(FATAL_ERROR "deadline query neither succeeded nor degraded\n${DL}")
+  die("deadline query neither succeeded nor degraded\n${DL}")
 endif()
 
 run_query(${WORK_DIR}/serve-r6.jsonl
@@ -187,14 +196,14 @@ list(GET ERRS 3 STATS)
 foreach(RESP IN ITEMS "${BAD_JSON}" "${BAD_SCHEMA}")
   if(NOT RESP MATCHES "\"status\":\"invalid\"" OR
      NOT RESP MATCHES "\"exit_code\":2")
-    message(FATAL_ERROR "bad input not rejected as invalid\n${RESP}")
+    die("bad input not rejected as invalid\n${RESP}")
   endif()
 endforeach()
 if(NOT PONG MATCHES "\"status\":\"ok\"")
-  message(FATAL_ERROR "ping failed\n${PONG}")
+  die("ping failed\n${PONG}")
 endif()
 if(NOT STATS MATCHES "\"serve\":")
-  message(FATAL_ERROR "stats response lacks the serve section\n${STATS}")
+  die("stats response lacks the serve section\n${STATS}")
 endif()
 
 # 3. Clean shutdown over the wire: the daemon acknowledges, compacts
@@ -203,10 +212,10 @@ run_query(${WORK_DIR}/serve-r7.jsonl --request "{\"cmd\":\"shutdown\"}")
 wait_for_exit("daemon (first lifetime)")
 wait_for_file(${WORK_DIR}/serve-report-1.json "first daemon run report")
 if(NOT EXISTS ${DIR}/gpcache.snap)
-  message(FATAL_ERROR "shutdown left no compacted snapshot in ${DIR}")
+  die("shutdown left no compacted snapshot in ${DIR}")
 endif()
 if(EXISTS ${DIR}/gpcache.journal)
-  message(FATAL_ERROR "journal survived shutdown compaction in ${DIR}")
+  die("journal survived shutdown compaction in ${DIR}")
 endif()
 
 # 4. Second daemon lifetime on the same cache directory: the answer now
@@ -216,9 +225,8 @@ run_query(${WORK_DIR}/serve-p2r1.jsonl --request ${Q_LAYER})
 first_line(RELOADED ${WORK_DIR}/serve-p2r1.jsonl)
 strip_server(RELOADED_CORE "${RELOADED}")
 if(NOT RELOADED_CORE STREQUAL COLD_CORE)
-  message(FATAL_ERROR
-    "disk-reloaded answer diverged from the cold solve\n"
-    "---- cold ----\n${COLD_CORE}\n---- reloaded ----\n${RELOADED_CORE}")
+  die("disk-reloaded answer diverged from the cold solve\n\
+---- cold ----\n${COLD_CORE}\n---- reloaded ----\n${RELOADED_CORE}")
 endif()
 run_query(${WORK_DIR}/serve-p2r2.jsonl --request "{\"cmd\":\"shutdown\"}")
 wait_for_exit("daemon (second lifetime)")
@@ -231,12 +239,8 @@ wait_for_file(${WORK_DIR}/serve-report-2.json "second daemon run report")
 if(PYTHON)
   foreach(F serve-r1 serve-r2 serve-r3 serve-r4 serve-r5 serve-r6
             serve-r7 serve-p2r1 serve-p2r2)
-    execute_process(
-      COMMAND ${PYTHON} ${CHECKER} --serve ${WORK_DIR}/${F}.jsonl
-      OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE CODE)
-    if(NOT CODE EQUAL 0)
-      message(FATAL_ERROR "envelope check failed on ${F}:\n${OUT}\n${ERR}")
-    endif()
+    must_pass("envelope check on ${F}"
+      ${PYTHON} ${CHECKER} --serve ${WORK_DIR}/${F}.jsonl)
   endforeach()
 
   function(reports_match RESPONSES BASELINE WHAT)
@@ -244,20 +248,17 @@ if(PYTHON)
       COMMAND ${PYTHON} ${CHECKER} --extract-report ${RESPONSES}
       OUTPUT_VARIABLE SERVED ERROR_VARIABLE ERR RESULT_VARIABLE CODE)
     if(NOT CODE EQUAL 0)
-      message(FATAL_ERROR
-        "report extraction failed on ${RESPONSES}:\n${ERR}")
+      die("report extraction failed on ${RESPONSES}:\n${ERR}")
     endif()
     execute_process(
       COMMAND ${PYTHON} ${CHECKER} --for-diff ${BASELINE}
       OUTPUT_VARIABLE STANDALONE ERROR_VARIABLE ERR RESULT_VARIABLE CODE)
     if(NOT CODE EQUAL 0)
-      message(FATAL_ERROR
-        "diff form failed on ${BASELINE}:\n${ERR}")
+      die("diff form failed on ${BASELINE}:\n${ERR}")
     endif()
     if(NOT SERVED STREQUAL STANDALONE)
-      message(FATAL_ERROR
-        "${WHAT}: served report diverged from standalone thistle-opt\n"
-        "---- served ----\n${SERVED}\n---- standalone ----\n${STANDALONE}")
+      die("${WHAT}: served report diverged from standalone thistle-opt\n\
+---- served ----\n${SERVED}\n---- standalone ----\n${STANDALONE}")
     endif()
   endfunction()
   reports_match(${WORK_DIR}/serve-r1.jsonl
@@ -265,26 +266,16 @@ if(PYTHON)
   reports_match(${WORK_DIR}/serve-r4.jsonl
     ${WORK_DIR}/serve-opt-net.json "network query")
 
-  execute_process(
-    COMMAND ${PYTHON} ${CHECKER} --serve-consistency
-      ${WORK_DIR}/serve-report-1.json
-      ${WORK_DIR}/serve-r1.jsonl ${WORK_DIR}/serve-r2.jsonl
-      ${WORK_DIR}/serve-r3.jsonl ${WORK_DIR}/serve-r4.jsonl
-      ${WORK_DIR}/serve-r5.jsonl ${WORK_DIR}/serve-r6.jsonl
-      ${WORK_DIR}/serve-r7.jsonl
-    OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE CODE)
-  if(NOT CODE EQUAL 0)
-    message(FATAL_ERROR "serve accounting inconsistent:\n${OUT}\n${ERR}")
-  endif()
-  execute_process(
-    COMMAND ${PYTHON} ${CHECKER} --serve-consistency
-      ${WORK_DIR}/serve-report-2.json
-      ${WORK_DIR}/serve-p2r1.jsonl ${WORK_DIR}/serve-p2r2.jsonl
-    OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE CODE)
-  if(NOT CODE EQUAL 0)
-    message(FATAL_ERROR
-      "second-lifetime accounting inconsistent:\n${OUT}\n${ERR}")
-  endif()
+  must_pass("serve accounting" ${PYTHON} ${CHECKER} --serve-consistency
+    ${WORK_DIR}/serve-report-1.json
+    ${WORK_DIR}/serve-r1.jsonl ${WORK_DIR}/serve-r2.jsonl
+    ${WORK_DIR}/serve-r3.jsonl ${WORK_DIR}/serve-r4.jsonl
+    ${WORK_DIR}/serve-r5.jsonl ${WORK_DIR}/serve-r6.jsonl
+    ${WORK_DIR}/serve-r7.jsonl)
+  must_pass("second-lifetime accounting"
+    ${PYTHON} ${CHECKER} --serve-consistency
+    ${WORK_DIR}/serve-report-2.json
+    ${WORK_DIR}/serve-p2r1.jsonl ${WORK_DIR}/serve-p2r2.jsonl)
 endif()
 
 # 6. Every query kind the two parsers share builds the same job as the
@@ -315,13 +306,8 @@ if(PYTHON)
     list(GET PARTS 0 KIND)
     list(GET PARTS 1 FLAGS)
     separate_arguments(FLAGS UNIX_COMMAND "${FLAGS}")
-    execute_process(
-      COMMAND ${OPT} ${FLAGS} --trace-json ${WORK_DIR}/serve-opt-${KIND}.json
-      OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE CODE)
-    if(NOT CODE EQUAL 0)
-      message(FATAL_ERROR
-        "${KIND} baseline: expected exit 0, got '${CODE}'\n${ERR}")
-    endif()
+    must_pass("${KIND} baseline"
+      ${OPT} ${FLAGS} --trace-json ${WORK_DIR}/serve-opt-${KIND}.json)
     list(APPEND KINDS ${KIND})
   endforeach()
 
@@ -341,23 +327,12 @@ if(PYTHON)
   wait_for_file(${WORK_DIR}/serve-report-3.json "third daemon run report")
 
   foreach(F ${RESPONSES})
-    execute_process(
-      COMMAND ${PYTHON} ${CHECKER} --serve ${F}
-      OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE CODE)
-    if(NOT CODE EQUAL 0)
-      message(FATAL_ERROR "envelope check failed on ${F}:\n${OUT}\n${ERR}")
-    endif()
+    must_pass("envelope check on ${F}" ${PYTHON} ${CHECKER} --serve ${F})
   endforeach()
   foreach(KIND ${KINDS})
     reports_match(${WORK_DIR}/serve-k-${KIND}.jsonl
       ${WORK_DIR}/serve-opt-${KIND}.json "${KIND} query")
   endforeach()
-  execute_process(
-    COMMAND ${PYTHON} ${CHECKER} --serve-consistency
-      ${WORK_DIR}/serve-report-3.json ${RESPONSES}
-    OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE CODE)
-  if(NOT CODE EQUAL 0)
-    message(FATAL_ERROR
-      "third-lifetime accounting inconsistent:\n${OUT}\n${ERR}")
-  endif()
+  must_pass("third-lifetime accounting" ${PYTHON} ${CHECKER}
+    --serve-consistency ${WORK_DIR}/serve-report-3.json ${RESPONSES})
 endif()

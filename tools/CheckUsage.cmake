@@ -2,7 +2,7 @@
 # every flag the parser accepts (scraped from the tool source, so a new
 # flag cannot land undocumented), the exit codes, and the doc pointers.
 # Invoked by ctest as:
-#   cmake -DTOOL=<thistle-opt> -DSOURCE=<thistle-opt.cpp>
+#   cmake -DTOOL=<thistle-opt> -DSOURCE=<thistle-opt.cpp> -DWORK_DIR=<dir>
 #         [-DMODE=serve -DQUERY=<thistle-query>] -P CheckUsage.cmake
 # The default mode audits thistle-opt (docs/THISTLE_OPT.md mirrors its
 # usage text); MODE=serve audits the thistle-serve daemon against
@@ -122,20 +122,29 @@ foreach(CASE ${BAD_NUMBERS})
   endif()
 endforeach()
 
-# --export-timeloop exports one layer's design on the classic3 machine;
-# on a network, a pipeline or another hierarchy it exits 2 naming the
-# flag before any work (no output), as --groups without --layer does.
+# Flags that do not apply to the workload or the machine exit 2 naming
+# the flag before any work (no output), as --groups without --layer does:
+# --export-timeloop exports one layer's design on the classic3 machine,
+# and a hierarchy file fixes the machine the architecture flags build.
 if(NOT MODE STREQUAL "serve")
-  foreach(CASE "--network dcgan" "--pipeline resnet"
-               "--layer 16,8,14,14,3,3 --hierarchy spad4")
-    separate_arguments(ARGS UNIX_COMMAND "${CASE} --export-timeloop")
+  set(MACHINE ${WORK_DIR}/usage-machine.txt)
+  file(WRITE ${MACHINE} "pes 64\nmac-pj 2.2\nfanout 1\n"
+    "level RF 64 0.5 1e9\nlevel SRAM 16384 2.0 16\nlevel DRAM - 128 4\n")
+  set(ON_FILE "--layer 16,8,14,14,3,3 --hierarchy ${MACHINE}")
+  foreach(CASE "--network dcgan --export-timeloop"
+               "--pipeline resnet --export-timeloop"
+               "--layer 16,8,14,14,3,3 --hierarchy spad4 --export-timeloop"
+               "${ON_FILE} --pes 256" "${ON_FILE} --regs 8"
+               "${ON_FILE} --sram-words 4096")
+    string(REGEX REPLACE ".*(--[a-z-]+).*" "\\1" FLAG "${CASE}")
+    separate_arguments(ARGS UNIX_COMMAND "${CASE}")
     execute_process(COMMAND ${TOOL} ${ARGS}
       OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE CODE
       TIMEOUT 60)
-    if(NOT CODE EQUAL 2 OR NOT ERR MATCHES "error: --export-timeloop "
+    if(NOT CODE EQUAL 2 OR NOT ERR MATCHES "error: ${FLAG} "
        OR NOT OUT STREQUAL "")
-      message(FATAL_ERROR "'${CASE} --export-timeloop': expected exit 2 "
-        "naming the flag and no output, got '${CODE}'\n${OUT}\n${ERR}")
+      message(FATAL_ERROR "'${CASE}': expected exit 2 "
+        "naming ${FLAG} and no output, got '${CODE}'\n${OUT}\n${ERR}")
     endif()
   endforeach()
 endif()

@@ -101,10 +101,10 @@ const FlagSpec OptimizationFlags[] = {
      "reg/SRAM/DRAM machine). spad4 adds\n"
      "a per-PE scratchpad; a file holds\n"
      "'pes/mac-pj/fanout/level' lines\n"
-     "(see docs/HIERARCHY.md). Non-classic\n"
-     "hierarchies run the L-level GP\n"
-     "optimizer and validate the winner\n"
-     "with the stochastic mapper."},
+     "(see docs/HIERARCHY.md). Every depth\n"
+     "runs the same sweep; a non-classic\n"
+     "machine's winner is validated with\n"
+     "the stochastic mapper."},
     {"--evaluator", "nest|maestro|both",
      "cost-model backend scoring the\n"
      "candidates (default: nest, the\n"
@@ -215,20 +215,20 @@ bool parseInts(const char *Text, std::vector<std::int64_t> &Out) {
 
 /// Prints the failure-summary table of a sweep: a note for an empty
 /// sweep, the table of a degraded one, nothing for a clean one.
-void printSweepSummary(const SweepReport &Report, const char *TaskNoun) {
+void printSweepSummary(const SweepReport &Report) {
   if (Report.total() == 0) {
     // An empty sweep must say so; a silent summary reads as success.
-    std::printf("\nsweep empty: %s\n", Report.toString(TaskNoun).c_str());
+    std::printf("\nsweep empty: %s\n", Report.toString("pair").c_str());
     return;
   }
   if (Report.clean())
     return;
-  std::printf("\nsweep degraded: %u %s(s) solved (%u retried), %u degraded, "
+  std::printf("\nsweep degraded: %u pair(s) solved (%u retried), %u degraded, "
               "%u infeasible, %u failed, %u skipped%s\n",
-              Report.Solved, TaskNoun, Report.Retried, Report.Degraded,
+              Report.Solved, Report.Retried, Report.Degraded,
               Report.Infeasible, Report.Failed, Report.Skipped,
               Report.DeadlineExpired ? " [deadline expired]" : "");
-  TablePrinter Table({TaskNoun, "coords", "outcome", "attempts", "detail"});
+  TablePrinter Table({"pair", "coords", "outcome", "attempts", "detail"});
   for (const SweepIncident &I : Report.Incidents) {
     if (I.Outcome == TaskOutcome::Infeasible)
       continue; // Infeasible pairs are an expected model property.
@@ -299,7 +299,7 @@ void printHierarchyMachine(const Hierarchy &H) {
 /// same machine: the GP winner should land within, or ahead of, the
 /// sampled population.
 void printHierarchyDesign(const Job &J, const Problem &Prob,
-                          const Hierarchy &H, const MultiResult &R) {
+                          const Hierarchy &H, const RoundedHierarchyDesign &R) {
   std::printf("\nenergy: %.1f uJ (%.3f pJ/MAC)\n", R.Eval.EnergyPj * 1e-6,
               R.Eval.EnergyPerMacPj);
   std::printf("delay:  %.0f cycles (IPC %.1f), EDP %.4g pJ*cycles\n",
@@ -419,6 +419,7 @@ int main(int Argc, char **Argv) {
   std::vector<ConvLayer> Network;
   std::string NetworkName;
   bool ExportTimeloop = false;
+  const char *ArchFlag = nullptr; // The last --pes/--regs/--sram-words.
   std::string EvaluatorName = "nest";
   std::string PipelineName;
   std::string TraceJsonPath;
@@ -505,12 +506,15 @@ int main(int Argc, char **Argv) {
       EvaluatorName = needValue();
     } else if (Arg == "--pes") {
       J.Arch.NumPEs = parseIntFlag("--pes", needValue(), 1, MaxFlagCount);
+      ArchFlag = "--pes";
     } else if (Arg == "--regs") {
       J.Arch.RegWordsPerPE =
           parseIntFlag("--regs", needValue(), 1, MaxFlagCount);
+      ArchFlag = "--regs";
     } else if (Arg == "--sram-words") {
       J.Arch.SramWords =
           parseIntFlag("--sram-words", needValue(), 1, MaxFlagCount);
+      ArchFlag = "--sram-words";
     } else if (Arg == "--area-budget") {
       J.AreaBudget = parsePositiveFlag("--area-budget", needValue());
     } else if (Arg == "--cache-dir" || Arg == "--resume") {
@@ -589,6 +593,13 @@ int main(int Argc, char **Argv) {
       (J.Kind != JobKind::Layer || J.HierarchySpec != ClassicHierarchy))
     return fail("--export-timeloop exports one layer's design "
                 "(--layer/--resnet/--yolo) on the classic3 hierarchy");
+  // A hierarchy file fixes its own machine; only classic3 and spad4 are
+  // built from the architecture flags.
+  if (ArchFlag && J.HierarchySpec != ClassicHierarchy &&
+      J.HierarchySpec != "spad4")
+    return fail(std::string(ArchFlag) + " sets the classic3/spad4 machine; "
+                "the hierarchy file '" + J.HierarchySpec +
+                "' fixes its own");
   resolveAreaBudget(J);
 
   // Resolve the cost-model backend. "both" scores with nest while
@@ -692,20 +703,20 @@ int main(int Argc, char **Argv) {
     if (R.ExitCode == 2)
       return refuse(R.Error);
     const SweepReport &Sweep = RR.Sweep;
-    const char *Noun = RR.SweepTaskNoun.c_str();
+    const ThistleStats &Stats = R.Layer.Stats;
     if (R.Machine)
       std::printf("search: %u GP solves (%u infeasible)\n",
-                  R.Multi.CombosSolved, R.Multi.GpInfeasible);
+                  Stats.PairsSolved + Stats.GpInfeasible, Stats.GpInfeasible);
     if (R.ExitCode == 3) {
-      printSweepSummary(Sweep, Noun);
+      printSweepSummary(Sweep);
       std::fprintf(stderr, "no feasible design found\n");
       return finish(3);
     }
     if (R.Machine)
-      printHierarchyDesign(J, Prob, *R.Machine, R.Multi);
+      printHierarchyDesign(J, Prob, *R.Machine, R.Layer.Multi);
     else
       printLayer(Prob, R.Layer, RR.Threads, ExportTimeloop);
-    printSweepSummary(Sweep, Noun);
+    printSweepSummary(Sweep);
     return finish(R.ExitCode);
   }
 
@@ -828,7 +839,7 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "no feasible design found for any layer\n");
     return finish(3);
   }
-  printSweepSummary(RR.Sweep, "pair");
+  printSweepSummary(RR.Sweep);
   // A shard owns only its slice of the layers.
   if (!Sharded && !N.Found)
     std::printf("warning: %zu of %zu layers found no design\n",
