@@ -31,7 +31,7 @@ Measurement measure(const std::vector<ConvLayer> &Layers,
   NetworkOptions Opts;
   Opts.Layer =
       thistleOptions(DesignMode::DataflowOnly, SearchObjective::Energy);
-  Opts.Cache = Cache;
+  Opts.Run.Cache = Cache;
   Measurement M;
   WallTimer T;
   M.Result = optimizeNetwork(Layers, eyerissArch(), TechParams::cgo45nm(),

@@ -79,12 +79,12 @@ int main() {
                                     "level SRAM-L1      16384 2.29  16\n"
                                     "level SRAM-L2      65536 4.57  16\n"
                                     "level DRAM         -     128.0 4\n";
-  Hierarchy Deep;
-  std::string Error;
-  if (!parseHierarchy(FiveLevelSpec, Deep, Error)) {
-    std::printf("parse error: %s\n", Error.c_str());
+  Expected<Hierarchy> Parsed = parseHierarchy(FiveLevelSpec);
+  if (!Parsed) {
+    std::printf("parse error: %s\n", Parsed.status().message().c_str());
     return 1;
   }
+  const Hierarchy Deep = Parsed.takeValue();
   ThistleResult DeepR = optimizeLayer(Prob, Deep, Tech, Opts);
   report("5-level: parsed from the text format", Prob, Deep, DeepR);
 

@@ -218,14 +218,3 @@ Expected<Hierarchy> thistle::parseHierarchy(const std::string &Text) {
     return Status::parseError(std::move(Why));
   return H;
 }
-
-bool thistle::parseHierarchy(const std::string &Text, Hierarchy &Out,
-                             std::string &Error) {
-  Expected<Hierarchy> Parsed = parseHierarchy(Text);
-  if (!Parsed) {
-    Error = Parsed.status().message();
-    return false;
-  }
-  Out = Parsed.takeValue();
-  return true;
-}

@@ -105,11 +105,6 @@ struct Hierarchy {
 /// or a hierarchy that fails validate().
 Expected<Hierarchy> parseHierarchy(const std::string &Text);
 
-/// Bool-and-string wrapper around the Expected overload, kept for
-/// existing call sites. Returns false and sets \p Error on failure.
-bool parseHierarchy(const std::string &Text, Hierarchy &Out,
-                    std::string &Error);
-
 } // namespace thistle
 
 #endif // THISTLE_MULTILEVEL_HIERARCHY_H

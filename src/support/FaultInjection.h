@@ -28,6 +28,8 @@
 ///   solver.infeasible   phase I reports no strictly feasible point
 ///   thistle.pair        keyed by task index: the pair's solve fails, at
 ///                       any hierarchy depth
+///   thistle.deadline    keyed by task index: under a deadline, the task
+///                       finds it expired and is skipped
 ///   parse.hierarchy     parseHierarchy rejects the input
 ///   persist.write-fail  keyed by artifact (0 snapshot, 1 journal):
 ///                       the durable write fails outright

@@ -50,9 +50,12 @@ void SweepReport::record(TaskOutcome Outcome, std::size_t Index,
 }
 
 void SweepReport::recordPolicySkip(std::size_t Index, std::size_t A,
-                                   std::size_t B, std::string Detail) {
-  ++SkippedByPolicy;
-  record(TaskOutcome::Skipped, Index, A, B, 0, std::move(Detail));
+                                   std::size_t B, std::string Detail,
+                                   unsigned Count) {
+  Skipped += Count;
+  SkippedByPolicy += Count;
+  Incidents.push_back(
+      {Index, A, B, TaskOutcome::Skipped, 0, std::move(Detail)});
 }
 
 void SweepReport::merge(SweepReport &&Next) {

@@ -10,9 +10,9 @@
 /// solved only after solver retries, were accepted degraded (feasible
 /// but not converged), were genuinely infeasible, failed outright, or
 /// were skipped by an expired deadline — plus one incident record per
-/// non-clean task naming it. A sweep that loses tasks degrades to the
-/// best of the completed ones and reports what it lost here, instead of
-/// aborting the run.
+/// non-clean task naming it (one for all the tasks a policy dropped). A
+/// sweep that loses tasks degrades to the best of the completed ones and
+/// reports what it lost here, instead of aborting the run.
 ///
 /// Determinism: shard-local reports are merged in shard order over
 /// contiguous ascending task ranges, so counts and the incident list are
@@ -41,7 +41,8 @@ enum class TaskOutcome {
 
 const char *taskOutcomeName(TaskOutcome Outcome);
 
-/// One non-clean task, in sweep order.
+/// One non-clean task, in sweep order. A policy skip of several tasks
+/// is one incident whose coordinates are its first and last task index.
 struct SweepIncident {
   std::size_t Index = 0;  ///< Task index in the fixed sweep plan.
   std::size_t A = 0;      ///< First coordinate (level-1 / PE class).
@@ -87,10 +88,11 @@ struct SweepReport {
   void record(TaskOutcome Outcome, std::size_t Index, std::size_t A,
               std::size_t B, unsigned Attempts, std::string Detail);
 
-  /// Records a task dropped by a caller policy (pair cap): a Skipped
-  /// outcome that also counts into SkippedByPolicy.
+  /// Records \p Count tasks dropped by a caller policy (the pair cap) as
+  /// one Skipped incident; each of them counts into Skipped and
+  /// SkippedByPolicy.
   void recordPolicySkip(std::size_t Index, std::size_t A, std::size_t B,
-                        std::string Detail);
+                        std::string Detail, unsigned Count = 1);
 
   /// Appends \p Next (the report of the next shard in ascending task
   /// order) to this one.

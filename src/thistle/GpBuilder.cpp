@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 using namespace thistle;
 
@@ -28,72 +27,7 @@ std::string capacityName(unsigned Level) {
   return Name;
 }
 
-Status checkPerm(const Problem &Prob, const std::vector<unsigned> &Perm,
-                 const char *What) {
-  for (unsigned I : Perm)
-    if (I >= Prob.numIterators())
-      return Status::invalidArgument(std::string(What) + " references "
-                                     "iterator index " + std::to_string(I) +
-                                     " but the problem has only " +
-                                     std::to_string(Prob.numIterators()) +
-                                     " iterators");
-  return Status::ok();
-}
-
-Status checkPositive(double Value, const char *What) {
-  if (!(Value > 0.0) || !std::isfinite(Value))
-    return Status::invalidArgument(std::string(What) +
-                                   " must be positive and finite, got " +
-                                   std::to_string(Value));
-  return Status::ok();
-}
-
 } // namespace
-
-Status thistle::validateGpBuildSpec(const Problem &Prob,
-                                    const GpBuildSpec &Spec) {
-  if (Status S = checkPerm(Prob, Spec.PePerm, "PE permutation"); !S.isOk())
-    return S;
-  if (Status S = checkPerm(Prob, Spec.DramPerm, "DRAM permutation"); !S.isOk())
-    return S;
-  if (Status S = checkPerm(Prob, Spec.TiledIters, "tiled-iterator list");
-      !S.isOk())
-    return S;
-
-  if (Status S = checkPositive(Spec.Tech.SigmaRegPj, "tech SigmaRegPj");
-      !S.isOk())
-    return S;
-  if (Status S = checkPositive(Spec.Tech.SigmaSramPj, "tech SigmaSramPj");
-      !S.isOk())
-    return S;
-
-  if (Spec.Mode == DesignMode::CoDesign) {
-    if (Status S =
-            checkPositive(Spec.AreaBudgetUm2, "co-design area budget (um^2)");
-        !S.isOk())
-      return S;
-    if (Status S =
-            checkPositive(Spec.Tech.AreaRegWordUm2, "tech AreaRegWordUm2");
-        !S.isOk())
-      return S;
-    if (Status S =
-            checkPositive(Spec.Tech.AreaSramWordUm2, "tech AreaSramWordUm2");
-        !S.isOk())
-      return S;
-    if (Status S = checkPositive(Spec.Tech.AreaMacUm2, "tech AreaMacUm2");
-        !S.isOk())
-      return S;
-  } else {
-    if (Spec.Arch.RegWordsPerPE <= 0 || Spec.Arch.SramWords <= 0 ||
-        Spec.Arch.NumPEs <= 0)
-      return Status::invalidArgument(
-          "fixed architecture needs positive capacities (RegWordsPerPE=" +
-          std::to_string(Spec.Arch.RegWordsPerPE) +
-          ", SramWords=" + std::to_string(Spec.Arch.SramWords) +
-          ", NumPEs=" + std::to_string(Spec.Arch.NumPEs) + ")");
-  }
-  return Status::ok();
-}
 
 HierarchyGpSpec thistle::hierarchyGpSpec(const GpBuildSpec &Spec) {
   HierarchyGpSpec Out;
@@ -171,8 +105,8 @@ GpBuild thistle::buildGp(const Problem &Prob, const Hierarchy &H,
     for (unsigned Lv = 0; Lv + 1 < L; ++Lv)
       Build.CapacityVars.push_back(Gp.addVariable(capacityName(Lv)));
     Build.NumPEVar = Gp.addVariable("P");
-    // A non-positive budget is caught by the callers' validation; here
-    // it would silently produce infinite variable bounds.
+    // A non-positive budget is caught by checkSweepInputs; here it would
+    // silently produce infinite variable bounds.
     for (unsigned Lv = 0; Lv + 1 < L; ++Lv)
       Gp.addVariableBounds(Build.CapacityVars[Lv],
                            Spec.AreaBudgetUm2 / (Lv == 0 ? Tech.AreaRegWordUm2

@@ -31,7 +31,6 @@
 #include "ir/Problem.h"
 #include "model/TechModel.h"
 #include "multilevel/Hierarchy.h"
-#include "support/Status.h"
 #include "nestmodel/Objective.h"
 #include "solver/GpProblem.h"
 #include "solver/GpSolver.h"
@@ -126,14 +125,6 @@ struct GpBuild {
   VarId EpigraphVar = 0; ///< T (delay objective only).
 };
 
-/// Validates the user-reachable parts of \p Spec against \p Prob before
-/// any GP is generated: the co-design area budget must be positive and
-/// finite, the fixed architecture (DataflowOnly) must have non-zero
-/// capacities, the technology constants actually used must be positive,
-/// and the permutations/tiled-iterator lists must reference real
-/// iterators. buildGp requires a spec that passes this check.
-Status validateGpBuildSpec(const Problem &Prob, const GpBuildSpec &Spec);
-
 /// Builds the GP for \p Prob on \p H under \p Spec (H must validate;
 /// its capacities and energies are ignored in co-design, its fan-out
 /// and bandwidths never are).
@@ -141,8 +132,9 @@ GpBuild buildGp(const Problem &Prob, const Hierarchy &H,
                 const HierarchyGpSpec &Spec);
 
 /// Builds the GP for \p Prob under \p Spec on its classic machine.
-/// \p Spec must satisfy validateGpBuildSpec; a failing spec yields an
-/// unusable program (e.g. infinite variable bounds), not a diagnostic.
+/// \p Spec needs positive technology constants and capacities, and in
+/// co-design a positive area budget (checkSweepInputs); otherwise the
+/// program is unusable (e.g. infinite variable bounds), not a diagnostic.
 GpBuild buildGp(const Problem &Prob, const GpBuildSpec &Spec);
 
 /// The real (pre-rounding) solution in mapping terms.

@@ -105,12 +105,10 @@ void runPipeline(const Job &J, const LayerRunContext &Run,
   R.Report.EnergyPj = TotalUj * 1e6;
 }
 
-void runNetwork(const Job &J, GpSolutionCache *Cache, ThreadPool *Pool,
-                JobResult &R) {
+void runNetwork(const Job &J, const LayerRunContext &Run, JobResult &R) {
   NetworkOptions NO;
   NO.Layer = J.Options;
-  NO.Cache = Cache;
-  NO.Pool = Pool;
+  NO.Run = Run;
   NO.ShardIndex = J.ShardIndex;
   NO.ShardCount = J.ShardCount;
   R.Network = optimizeNetwork(J.Layers, J.Arch, TechParams::cgo45nm(), NO,
@@ -128,7 +126,7 @@ void runNetwork(const Job &J, GpSolutionCache *Cache, ThreadPool *Pool,
   Network.LayersTotal = N.Stats.LayersTotal;
   Network.LayersFound = N.LayersFound;
   Network.UniqueShapes = N.Stats.UniqueShapes;
-  Network.CacheEnabled = Cache != nullptr;
+  Network.CacheEnabled = Run.Cache != nullptr;
   Network.CacheHits = N.Stats.CacheHits;
   Network.CacheMisses = N.Stats.CacheMisses;
   Network.ArchCandidates = N.Stats.ArchCandidates;
@@ -219,7 +217,7 @@ JobResult thistle::runJob(const Job &J, GpSolutionCache *Cache,
       runPipeline(J, Run, OnStage, R);
       break;
     case JobKind::Network:
-      runNetwork(J, Cache, Pool, R);
+      runNetwork(J, Run, R);
       break;
     }
   }

@@ -6,7 +6,7 @@
 #include "support/ThreadPool.h"
 #include "thistle/PairSweep.h"
 
-#include <algorithm>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -33,26 +33,6 @@ struct UniqueShape {
   Problem Prob;
   std::size_t Multiplicity = 0;
 };
-
-/// The per-shape accumulators of one sweep phase. Cells are indexed by
-/// (cell, shape) and only merged cell-wise in shard order, so the phase
-/// result is bit-identical at every worker count.
-using PhaseAccumulator = std::vector<SweepAccumulator>;
-
-void joinPhaseAccumulators(PhaseAccumulator &A, PhaseAccumulator &&B) {
-  for (std::size_t I = 0; I < A.size(); ++I)
-    mergePairAccumulators(A[I], std::move(B[I]));
-}
-
-/// Maps a phase-global task index onto its shape via the prefix-sum
-/// offsets (Offsets.back() is the phase task total).
-std::size_t shapeOfTask(const std::vector<std::size_t> &Offsets,
-                        std::size_t TaskIdx) {
-  std::size_t S = 0;
-  while (S + 1 < Offsets.size() - 1 && TaskIdx >= Offsets[S + 1])
-    ++S;
-  return S;
-}
 
 /// Sums a found layer result into the running totals.
 void addToTotals(const ThistleResult &R, const ConvLayer &L,
@@ -118,120 +98,71 @@ NetworkResult thistle::optimizeNetwork(const std::vector<ConvLayer> &Layers,
     LR.Multiplicity = Shapes[LR.ShapeIndex].Multiplicity;
   Result.Stats.UniqueShapes = Shapes.size();
 
-  // Validate every unique shape up front, before any GP is built, so a
-  // bad layer fails the whole run with its name instead of surfacing as
-  // mid-sweep incidents.
-  for (std::size_t S = 0; S < Shapes.size(); ++S) {
-    GpBuildSpec Probe;
-    Probe.Mode = Options.Layer.Mode;
-    Probe.Objective = Options.Layer.Objective;
-    Probe.TiledIters = tiledIterators(Shapes[S].Prob, Options.Layer);
-    Probe.Arch = Arch;
-    Probe.Tech = Tech;
-    Probe.AreaBudgetUm2 = AreaBudgetUm2;
-    Status St = validateGpBuildSpec(Shapes[S].Prob, Probe)
-                    .withContext("validating network layer '" +
-                                 Shapes[S].Layer.Name + "'");
-    if (!St.isOk()) {
-      Result.InputStatus = std::move(St);
-      return Result;
-    }
+  // Validate what the caller controls up front, before any GP is built,
+  // so bad inputs fail the whole run instead of surfacing as mid-sweep
+  // incidents.
+  if (Status St = checkSweepInputs(Options.Layer, &Arch, Tech, AreaBudgetUm2);
+      !St.isOk()) {
+    Result.InputStatus = std::move(St.withContext(
+        "validating network layer '" + Shapes.front().Layer.Name + "'"));
+    return Result;
   }
 
-  // Phase plans and the global task grid: Offsets[S] is the first global
-  // task index of shape S, Offsets.back() the phase task total.
   std::vector<LayerSweepPlan> Plans;
   Plans.reserve(Shapes.size());
-  std::vector<std::size_t> Offsets(1, 0);
+  std::size_t PhaseTasks = 0;
   for (const UniqueShape &U : Shapes) {
     Plans.push_back(planLayerSweep(U.Prob, Options.Layer));
-    Offsets.push_back(Offsets.back() + Plans.back().Pairs.size());
+    PhaseTasks += Plans.back().Pairs.size();
   }
-  const std::size_t PhaseTasks = Offsets.back();
-
-  // One deadline for the whole network run, resolved once so phase 2
-  // shares the instant instead of restarting the clock.
-  std::chrono::steady_clock::time_point DeadlineAt;
-  const bool HasDeadline = resolveSweepDeadline(
-      Options.Layer.Deadline, Options.Layer.DeadlineAt, DeadlineAt);
 
   telemetry::beginEpoch();
   telemetry::TraceScope NetSpan("thistle.optimize_network");
   telemetry::count("thistle.networks");
   std::optional<ThreadPool> OwnPool;
-  if (!Options.Pool)
+  if (!Options.Run.Pool)
     OwnPool.emplace(Options.Layer.Threads);
-  ThreadPool &Pool = Options.Pool ? *Options.Pool : *OwnPool;
+  // One deadline for the whole network run, resolved once so phase 2
+  // shares the instant instead of restarting the clock.
+  PairSweepGrid Grid{Options.Run.Pool ? *Options.Run.Pool : *OwnPool,
+                     Options.Run.Cache,
+                     sweepDeadline(Options.Layer),
+                     0,
+                     Options.ShardIndex,
+                     Options.ShardCount};
 
-  // Runs one phase: \p Opts/\p PhaseArch/\p PhaseBudget applied to every
-  // unique shape, cells of \p Cells many repetitions of the shape grid
-  // (phase 1 has one cell, phase 2 one per candidate). Returns the
-  // per-(cell, shape) accumulators, merged deterministically.
+  // Runs one phase: \p Opts and \p Budget applied to every unique shape
+  // under each of \p Archs, as one grid of (architecture, shape) layers
+  // numbered from \p FirstTask. Returns their results in that order and
+  // folds their reports and cache traffic into the network's.
   auto runPhase = [&](const ThistleOptions &Opts,
-                      const std::vector<ArchConfig> &CellArchs,
-                      double PhaseBudget, std::size_t SpanBase) {
-    const std::size_t Cells = CellArchs.size();
-    std::vector<Hierarchy> CellMachines;
-    for (const ArchConfig &A : CellArchs)
-      CellMachines.push_back(Hierarchy::classic3Level(A, Tech));
-    std::vector<PairSweepContext> Ctxs;
-    Ctxs.reserve(Cells * Shapes.size());
-    for (std::size_t Cell = 0; Cell < Cells; ++Cell)
-      for (std::size_t S = 0; S < Shapes.size(); ++S) {
-        PairSweepContext Ctx{Shapes[S].Prob,      Plans[S],
-                             Opts,                CellMachines[Cell],
-                             &CellArchs[Cell],    Tech,
-                             PhaseBudget};
-        Ctx.Cache = Options.Cache;
-        if (Ctx.Cache)
-          Ctx.CacheKeys = gpCacheKeyMaterial(Shapes[S].Prob, Opts,
-                                             CellArchs[Cell], Tech,
-                                             PhaseBudget, Plans[S].TiledIters);
-        Ctx.HasDeadline = HasDeadline;
-        Ctx.DeadlineAt = DeadlineAt;
-        Ctx.SpanIndexBase = SpanBase + Cell * PhaseTasks + Offsets[S];
-        Ctxs.push_back(std::move(Ctx));
-      }
-    return parallelReduce(
-        Pool, Cells * PhaseTasks,
-        PhaseAccumulator(Cells * Shapes.size()),
-        [&](PhaseAccumulator &Acc, std::size_t TaskIdx) {
-          const std::size_t Cell = TaskIdx / PhaseTasks;
-          const std::size_t Rem = TaskIdx % PhaseTasks;
-          // The shard partition is a pure function of the global task
-          // index (phase span base + cell + offset), so every shard of
-          // every phase agrees on ownership without coordination.
-          if (Options.ShardCount > 1 &&
-              (SpanBase + Cell * PhaseTasks + Rem) % Options.ShardCount !=
-                  Options.ShardIndex)
-            return;
-          const std::size_t S = shapeOfTask(Offsets, Rem);
-          runPairTask(Ctxs[Cell * Shapes.size() + S], Rem - Offsets[S],
-                      Acc[Cell * Shapes.size() + S]);
-        },
-        joinPhaseAccumulators);
-  };
-
-  // Harvests one phase cell into per-shape ThistleResults, folding the
-  // cache traffic and the shape reports into the network-level stats.
-  auto finishCell = [&](PhaseAccumulator &Acc, std::size_t Cell) {
-    std::vector<ThistleResult> ShapeResults(Shapes.size());
-    for (std::size_t S = 0; S < Shapes.size(); ++S) {
-      SweepAccumulator &Cur = Acc[Cell * Shapes.size() + S];
-      Result.Stats.CacheHits += Cur.CacheHits;
-      Result.Stats.CacheMisses += Cur.CacheMisses;
-      finishLayerResult(Plans[S], std::move(Cur), ShapeResults[S]);
-      Result.Report.merge(SweepReport(ShapeResults[S].Report));
+                      const std::vector<ArchConfig> &Archs, double Budget,
+                      std::size_t FirstTask) {
+    std::vector<Hierarchy> Machines;
+    for (const ArchConfig &A : Archs)
+      Machines.push_back(Hierarchy::classic3Level(A, Tech));
+    std::vector<PairSweepContext> Sweeps;
+    Sweeps.reserve(Archs.size() * Shapes.size());
+    for (std::size_t A = 0; A < Archs.size(); ++A)
+      for (std::size_t S = 0; S < Shapes.size(); ++S)
+        Sweeps.push_back({Shapes[S].Prob, Plans[S], Opts, Machines[A],
+                          &Archs[A], Tech, Budget});
+    Grid.FirstTask = FirstTask;
+    std::vector<ThistleResult> Results = runPairSweep(Sweeps, Grid);
+    for (const ThistleResult &R : Results) {
+      Result.Stats.CacheHits += R.Stats.CacheHits;
+      Result.Stats.CacheMisses += R.Stats.CacheMisses;
+      Result.Report.merge(SweepReport(R.Report));
     }
-    return ShapeResults;
+    Result.Stats.PairsPlanned +=
+        static_cast<unsigned>(Archs.size() * PhaseTasks);
+    return Results;
   };
 
   // Phase 1: sweep every unique shape under the input architecture (and,
   // in CoDesign mode, the area budget).
-  PhaseAccumulator Phase1 =
+  std::vector<ThistleResult> Selected =
       runPhase(Options.Layer, {Arch}, AreaBudgetUm2, 0);
-  Result.Stats.PairsPlanned += static_cast<unsigned>(PhaseTasks);
-  std::vector<ThistleResult> Selected = finishCell(Phase1, 0);
 
   // Phase 2 (CoDesign): the distinct per-shape winning architectures
   // become candidates; every candidate is scored by re-optimizing each
@@ -255,16 +186,13 @@ NetworkResult thistle::optimizeNetwork(const std::vector<ConvLayer> &Layers,
     if (!CandidateArchs.empty()) {
       ThistleOptions Phase2Opts = Options.Layer;
       Phase2Opts.Mode = DesignMode::DataflowOnly;
-      PhaseAccumulator Phase2 =
+      std::vector<ThistleResult> Phase2 =
           runPhase(Phase2Opts, CandidateArchs, 0.0, PhaseTasks);
-      Result.Stats.PairsPlanned +=
-          static_cast<unsigned>(CandidateArchs.size() * PhaseTasks);
 
       Result.Candidates.reserve(CandidateArchs.size());
       std::size_t BestCand = 0;
-      std::vector<ThistleResult> BestResults;
       for (std::size_t Cand = 0; Cand < CandidateArchs.size(); ++Cand) {
-        std::vector<ThistleResult> CandResults = finishCell(Phase2, Cand);
+        const ThistleResult *CandResults = &Phase2[Cand * Shapes.size()];
         NetworkArchCandidate Score;
         Score.Arch = CandidateArchs[Cand];
         Score.AllLayersFound = true;
@@ -293,13 +221,13 @@ NetworkResult thistle::optimizeNetwork(const std::vector<ConvLayer> &Layers,
           Wins = Score.LayersFound >
                  Result.Candidates[BestCand].LayersFound;
         Result.Candidates.push_back(std::move(Score));
-        if (Wins) {
+        if (Wins)
           BestCand = Cand;
-          BestResults = std::move(CandResults);
-        }
       }
       Result.Arch = CandidateArchs[BestCand];
-      Selected = std::move(BestResults);
+      const auto Best = Phase2.begin() + BestCand * Shapes.size();
+      Selected.assign(std::make_move_iterator(Best),
+                      std::make_move_iterator(Best + Shapes.size()));
     }
   }
 

@@ -10,10 +10,10 @@
 /// and in CoDesign mode pick the single architecture minimizing the
 /// summed Eq. 5 objective across layers (the equal-area network
 /// comparison). Identical layer shapes — ResNet-style repeated blocks —
-/// are deduplicated up front and solved once; the (layer, perm-pair)
-/// task grid fans out on one ThreadPool with the same deterministic
-/// (objective, layer, QI, SI) reduction as the single-layer sweep, so
-/// results are bit-identical at every thread count. An optional
+/// are deduplicated up front and solved once; each phase runs its
+/// (architecture, shape) layers as one task grid, the one optimizeLayer
+/// runs (thistle/PairSweep.h), so results are bit-identical at every
+/// thread count and equal optimizeLayer's per shape. An optional
 /// GpSolutionCache (thistle/GpCache.h) carries solutions across runs:
 /// a hit replays the recorded outcome without solving, so a cached run
 /// is bit-identical to a cold one.
@@ -39,14 +39,10 @@ struct NetworkOptions {
   /// threads, deadline). The deadline is resolved once and applies to
   /// the whole network run, not per layer.
   ThistleOptions Layer;
-  /// Optional shared solution cache; nullptr solves everything cold.
-  /// The same instance may be passed to consecutive runs to reuse
-  /// solutions (the repeated-block / repeated-network case).
-  GpSolutionCache *Cache = nullptr;
-  /// Optional external worker pool (the serving path shares one pool
-  /// across requests); when set, Layer.Threads is ignored. Results are
-  /// bit-identical at any pool size either way.
-  ThreadPool *Pool = nullptr;
+  /// The cache and pool the run borrows, as optimizeLayer's do. The same
+  /// cache may be passed to consecutive runs to reuse solutions (the
+  /// repeated-block / repeated-network case).
+  LayerRunContext Run;
   /// Deterministic 1-of-N partition of the pair-task grid for
   /// distributed sweeps (docs/PERSISTENCE.md): this process solves only
   /// tasks whose global index is congruent to ShardIndex mod ShardCount

@@ -53,39 +53,25 @@ ThistleResult thistle::optimizeLayer(const Problem &Prob,
 
 namespace {
 
-/// The sweep of one layer on \p Machine; \p Classic is its ArchConfig
-/// when Machine is classic3Level(*Classic, Tech), else null.
+/// The sweep of one layer on \p Machine, a grid of one; \p Classic is
+/// its ArchConfig when Machine is classic3Level(*Classic, Tech), else
+/// null.
 ThistleResult sweepLayer(const Problem &Prob, const Hierarchy &Machine,
                          const ArchConfig *Classic, const TechParams &Tech,
                          const ThistleOptions &Options,
                          const LayerRunContext &Run, double AreaBudgetUm2) {
   ThistleResult Result;
-
-  // Validate the user-reachable inputs once, before any GP is built.
-  // The per-task permutations come from our own enumeration, so an
-  // empty-permutation spec covers everything the caller controls. Only
-  // classic3 has an ArchConfig to check; another machine checks itself,
-  // and the probe's default one passes.
+  // Validate what the caller controls once, before any GP is built.
   if (!Classic)
     if (std::string Error = Machine.validate(); !Error.empty()) {
       Result.InputStatus = Status::invalidArgument(std::move(Error))
                                .withContext("validating hierarchy");
       return Result;
     }
-  {
-    GpBuildSpec Probe;
-    Probe.Mode = Options.Mode;
-    Probe.Objective = Options.Objective;
-    Probe.TiledIters = tiledIterators(Prob, Options);
-    if (Classic)
-      Probe.Arch = *Classic;
-    Probe.Tech = Tech;
-    Probe.AreaBudgetUm2 = AreaBudgetUm2;
-    Result.InputStatus = validateGpBuildSpec(Prob, Probe)
-                             .withContext("validating optimizer inputs");
-    if (!Result.InputStatus.isOk())
-      return Result;
-  }
+  Result.InputStatus = checkSweepInputs(Options, Classic, Tech, AreaBudgetUm2)
+                           .withContext("validating optimizer inputs");
+  if (!Result.InputStatus.isOk())
+    return Result;
 
   LayerSweepPlan Plan =
       planLayerSweep(Prob, Options, Machine.numLevels() - 1);
@@ -99,15 +85,7 @@ ThistleResult sweepLayer(const Problem &Prob, const Hierarchy &Machine,
             .withContext("planning the sweep");
     return Result;
   }
-
-  PairSweepContext Ctx{Prob, Plan, Options, Machine, Classic, Tech,
-                       AreaBudgetUm2};
-  Ctx.Cache = Classic ? Run.Cache : nullptr;
-  if (Ctx.Cache)
-    Ctx.CacheKeys = gpCacheKeyMaterial(Prob, Options, *Classic, Tech,
-                                       AreaBudgetUm2, Plan.TiledIters);
-  Ctx.HasDeadline = resolveSweepDeadline(Options.Deadline,
-                                         Options.DeadlineAt, Ctx.DeadlineAt);
+  const auto DeadlineAt = sweepDeadline(Options);
 
   telemetry::beginEpoch();
   telemetry::TraceScope SweepSpan("thistle.optimize_layer");
@@ -115,22 +93,16 @@ ThistleResult sweepLayer(const Problem &Prob, const Hierarchy &Machine,
   std::optional<ThreadPool> OwnPool;
   if (!Run.Pool)
     OwnPool.emplace(Options.Threads);
-  ThreadPool &Pool = Run.Pool ? *Run.Pool : *OwnPool;
-  SweepAccumulator Total = parallelReduce(
-      Pool, Plan.Pairs.size(), SweepAccumulator{},
-      [&Ctx](SweepAccumulator &Acc, std::size_t TaskIdx) {
-        runPairTask(Ctx, TaskIdx, Acc);
-      },
-      [](SweepAccumulator &A, SweepAccumulator &&B) {
-        mergePairAccumulators(A, std::move(B));
-      });
+  Result = std::move(
+      runPairSweep({{Prob, Plan, Options, Machine, Classic, Tech,
+                     AreaBudgetUm2}},
+                   {Run.Pool ? *Run.Pool : *OwnPool, Run.Cache, DeadlineAt})
+          .front());
   if (telemetry::traceEnabled())
     SweepSpan.setDetail("pairs=" + std::to_string(Plan.Pairs.size()) +
-                        " solved=" + std::to_string(Total.Report.Solved) +
+                        " solved=" + std::to_string(Result.Report.Solved) +
                         " degraded=" +
-                        std::to_string(Total.Report.Degraded));
-
-  finishLayerResult(Plan, std::move(Total), Result);
+                        std::to_string(Result.Report.Degraded));
   return Result;
 }
 

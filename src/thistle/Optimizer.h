@@ -133,11 +133,11 @@ struct ThistleResult {
   ThistleStats Stats;
 };
 
-/// Shared long-lived resources a layer run may borrow instead of
-/// creating its own (the serving path, docs/SERVING.md). Both are
-/// optional and null by default, which reproduces the self-contained
-/// behavior exactly: no cache, a private pool sized by
-/// ThistleOptions::Threads.
+/// Shared long-lived resources a layer or network run
+/// (NetworkOptions::Run) may borrow instead of creating its own (the
+/// serving path, docs/SERVING.md). Both are optional and null by
+/// default, which reproduces the self-contained behavior exactly: no
+/// cache, a private pool sized by ThistleOptions::Threads.
 struct LayerRunContext {
   /// Shared GP solution cache; hits replay bit-identically
   /// (thistle/GpCache.h), so the answer never depends on what earlier

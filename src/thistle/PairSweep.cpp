@@ -4,34 +4,47 @@
 
 #include "support/FaultInjection.h"
 #include "support/Telemetry.h"
+#include "support/ThreadPool.h"
+#include "thistle/GpCache.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cmath>
 #include <compare>
 #include <exception>
+#include <iterator>
 #include <tuple>
 #include <utility>
 
 using namespace thistle;
 
-std::vector<unsigned> thistle::tiledIterators(const Problem &Prob,
-                                              const ThistleOptions &Options) {
-  std::vector<unsigned> Out;
-  for (unsigned I = 0; I < Prob.numIterators(); ++I) {
-    const Iterator &It = Prob.iterators()[I];
-    if (It.Extent <= 1)
-      continue;
-    bool Untiled =
-        std::find(Options.UntiledIterNames.begin(),
-                  Options.UntiledIterNames.end(),
-                  It.Name) != Options.UntiledIterNames.end();
-    if (!Untiled)
-      Out.push_back(I);
-  }
-  return Out;
-}
-
 namespace {
+
+/// Per-shard state of one layer: the best design one worker saw plus its
+/// stat deltas. Shards never share state on the hot path; accumulators
+/// are merged in shard order once the grid drains.
+struct SweepAccumulator {
+  bool Found = false;
+  double Obj = 0.0;
+  std::size_t Task = 0; ///< The winner's index in the plan.
+  RoundedDesign Design; ///< The winner on classic3.
+  RoundedHierarchyDesign Multi; ///< The winner on any other machine.
+  double ModelObjective = 0.0;
+  unsigned NewtonIterations = 0;
+  unsigned GpInfeasible = 0;
+  std::size_t CandidatesEvaluated = 0;
+  std::uint64_t CacheHits = 0, CacheMisses = 0;
+  SweepReport Report;
+};
+
+/// One layer's share of a grid: the cache it reads and writes (null off
+/// classic3) with its key material, formatted once, and the run-wide
+/// number of its first task.
+struct GridLayer {
+  const PairSweepContext &Ctx;
+  GpSolutionCache *Cache;
+  GpCacheKeyMaterial Keys;
+  std::size_t FirstTask;
+};
 
 /// The deterministic winner order, lexicographic on (objective, task
 /// index): on classic3, (objective, QI, SI). It reproduces the
@@ -94,7 +107,14 @@ LayerSweepPlan thistle::planLayerSweep(const Problem &Prob,
                                        const ThistleOptions &Options,
                                        unsigned PermutedLevels) {
   LayerSweepPlan Plan;
-  Plan.TiledIters = tiledIterators(Prob, Options);
+  // The tiled iterators: extent > 1 and not in the untiled list.
+  for (unsigned I = 0; I < Prob.numIterators(); ++I) {
+    const Iterator &It = Prob.iterators()[I];
+    if (It.Extent > 1 && std::find(Options.UntiledIterNames.begin(),
+                                   Options.UntiledIterNames.end(),
+                                   It.Name) == Options.UntiledIterNames.end())
+      Plan.TiledIters.push_back(I);
+  }
 
   // The class enumeration is a function of the problem and the tiled
   // iterator set only, so every permuted level shares it.
@@ -160,46 +180,40 @@ LayerSweepPlan thistle::planLayerSweep(const Problem &Prob,
     return Plan;
   }
   // Under the cap, planned task i is survivor floor(i*N/Cap): the plan
-  // spreads evenly over the survivors. The others are recorded as
-  // policy skips with indices following the planned tasks, keeping the
-  // merged incident list in ascending task order.
-  for (std::size_t S = 0; S < Survivors.size(); ++S) {
-    const std::size_t Next = Plan.Pairs.size();
-    if (Next < Cap && S == Next * Survivors.size() / Cap)
-      Plan.Pairs.push_back(std::move(Survivors[S]));
-    else
-      Plan.CappedReport.recordPolicySkip(
-          Cap + Plan.CappedReport.Skipped, Survivors[S].QI, Survivors[S].SI,
-          "dropped by the MaxPermClassPairs pair cap");
-  }
+  // spreads evenly over the survivors.
+  for (std::size_t I = 0; I < Cap; ++I)
+    Plan.Pairs.push_back(std::move(Survivors[I * Survivors.size() / Cap]));
+  Plan.Capped = static_cast<unsigned>(Survivors.size() - Cap);
   return Plan;
 }
 
-bool thistle::resolveSweepDeadline(
-    std::chrono::milliseconds Relative,
-    std::chrono::steady_clock::time_point Absolute,
-    std::chrono::steady_clock::time_point &Out) {
-  if (Absolute != std::chrono::steady_clock::time_point{}) {
-    Out = Absolute;
-    return true;
-  }
-  if (Relative.count() > 0) {
-    Out = std::chrono::steady_clock::now() + Relative;
-    return true;
-  }
-  return false;
+std::chrono::steady_clock::time_point
+thistle::sweepDeadline(const ThistleOptions &Options) {
+  if (Options.DeadlineAt != std::chrono::steady_clock::time_point{} ||
+      Options.Deadline.count() <= 0)
+    return Options.DeadlineAt;
+  return std::chrono::steady_clock::now() + Options.Deadline;
 }
 
-void thistle::runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
-                          SweepAccumulator &Acc) {
+namespace {
+
+/// Runs one planned task of \p Layer end to end, folding its outcome
+/// into \p Acc. Never throws: failures become report incidents.
+void runPairTask(const GridLayer &Layer,
+                 std::chrono::steady_clock::time_point DeadlineAt,
+                 std::size_t TaskIdx, SweepAccumulator &Acc) {
+  const PairSweepContext &Ctx = Layer.Ctx;
   const LayerSweepPlan &Plan = Ctx.Plan;
   const ThistleOptions &Options = Ctx.Options;
   const PairTask &Task = Plan.Pairs[TaskIdx];
-  telemetry::TraceScope PairSpan("thistle.pair",
-                                 Ctx.SpanIndexBase + TaskIdx);
+  telemetry::TraceScope PairSpan("thistle.pair", Layer.FirstTask + TaskIdx);
 
-  if (Ctx.HasDeadline &&
-      std::chrono::steady_clock::now() >= Ctx.DeadlineAt) {
+  // The thistle.deadline site expires the deadline for one task, as a
+  // clock past it would.
+  if (DeadlineAt != std::chrono::steady_clock::time_point{} &&
+      (fault::shouldFail("thistle.deadline",
+                         static_cast<std::int64_t>(TaskIdx)) ||
+       std::chrono::steady_clock::now() >= DeadlineAt)) {
     Acc.Report.DeadlineExpired = true;
     Acc.Report.record(TaskOutcome::Skipped, TaskIdx, Task.QI, Task.SI, 0,
                       "deadline expired before the pair was attempted");
@@ -216,13 +230,11 @@ void thistle::runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
   // Deadline- and fault-killed tasks never reach the insert below, so
   // what is replayed is always a genuinely computed outcome.
   std::string Key;
-  if (Ctx.Cache) {
-    assert(!Ctx.CacheKeys.Structure.empty() &&
-           "a cached sweep context needs its key material");
-    Key = gpCacheKey(Ctx.CacheKeys, Plan.Classes[Task.QI].Representative,
+  if (Layer.Cache) {
+    Key = gpCacheKey(Layer.Keys, Plan.Classes[Task.QI].Representative,
                      Plan.Classes[Task.SI].Representative);
     GpCacheEntry Hit;
-    if (Ctx.Cache->lookup(Key, Hit)) {
+    if (Layer.Cache->lookup(Key, Hit)) {
       ++Acc.CacheHits;
       telemetry::count("thistle.cache.hit");
       if (telemetry::traceEnabled())
@@ -287,8 +299,8 @@ void thistle::runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
                         Entry.Detail);
       if (telemetry::traceEnabled())
         PairSpan.setDetail(taskOutcomeName(Outcome));
-      if (Ctx.Cache)
-        Ctx.Cache->insert(Key, std::move(Entry));
+      if (Layer.Cache)
+        Layer.Cache->insert(Key, std::move(Entry));
       return;
     }
     // Feasible but not converged: accept the best iterate (as the
@@ -336,9 +348,9 @@ void thistle::runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
       return;
     }
     RoundedDesign Classic = classicDesign(Ctx.Prob, *Ctx.Classic, Design);
-    if (Ctx.Cache) {
+    if (Layer.Cache) {
       Entry.Design = Classic;
-      Ctx.Cache->insert(Key, std::move(Entry));
+      Layer.Cache->insert(Key, std::move(Entry));
     }
     if (Wins)
       Acc.Design = std::move(Classic);
@@ -348,8 +360,8 @@ void thistle::runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
   }
 }
 
-void thistle::mergePairAccumulators(SweepAccumulator &A,
-                                    SweepAccumulator &&B) {
+/// Joins the next shard (ascending task order) into \p A.
+void mergePairAccumulators(SweepAccumulator &A, SweepAccumulator &&B) {
   A.NewtonIterations += B.NewtonIterations;
   A.GpInfeasible += B.GpInfeasible;
   A.CandidatesEvaluated += B.CandidatesEvaluated;
@@ -366,9 +378,11 @@ void thistle::mergePairAccumulators(SweepAccumulator &A,
   }
 }
 
-void thistle::finishLayerResult(const LayerSweepPlan &Plan,
-                                SweepAccumulator &&Total,
-                                ThistleResult &Result) {
+/// Assembles a layer's result from its drained accumulator: stats
+/// (PairsSolved derived from the report outcomes), the report with the
+/// plan's capped tuples, and the winning design.
+void finishLayerResult(const LayerSweepPlan &Plan, SweepAccumulator &&Total,
+                       ThistleResult &Result) {
   Result.Stats.PermClassesPerLevel =
       static_cast<unsigned>(Plan.Classes.size());
   Result.Stats.RawPermsPerLevel = Plan.RawPermsPerLevel;
@@ -381,9 +395,17 @@ void thistle::finishLayerResult(const LayerSweepPlan &Plan,
   Result.Stats.CacheHits = Total.CacheHits;
   Result.Stats.CacheMisses = Total.CacheMisses;
   Result.Report = std::move(Total.Report);
-  // Capped tasks are indexed after the planned ones, so appending their
-  // pre-recorded skips keeps the incident list in ascending task order.
-  Result.Report.merge(SweepReport(Plan.CappedReport));
+  // Capped tuples take the indices after the planned tasks, so their one
+  // incident, which names the first and last, keeps the incident list in
+  // ascending task order.
+  if (Plan.Capped) {
+    const std::size_t First = Plan.Pairs.size();
+    Result.Report.recordPolicySkip(
+        First, First, First + Plan.Capped - 1,
+        std::to_string(Plan.Capped) +
+            " tuples dropped by the MaxPermClassPairs pair cap",
+        Plan.Capped);
+  }
   // The fixed accounting: PairsSolved counts what actually produced an
   // iterate (clean or degraded), not what was planned.
   Result.Stats.PairsSolved = Result.Report.Solved + Result.Report.Degraded;
@@ -398,4 +420,83 @@ void thistle::finishLayerResult(const LayerSweepPlan &Plan,
     Result.BestPePerm = Plan.Classes[Best.QI].Representative;
     Result.BestDramPerm = Plan.Classes[Best.SI].Representative;
   }
+}
+
+} // namespace
+
+Status thistle::checkSweepInputs(const ThistleOptions &Options,
+                                 const ArchConfig *Classic,
+                                 const TechParams &Tech,
+                                 double AreaBudgetUm2) {
+  // The last four bound the co-design area only.
+  const std::pair<double, const char *> Positive[] = {
+      {Tech.SigmaRegPj, "tech SigmaRegPj"},
+      {Tech.SigmaSramPj, "tech SigmaSramPj"},
+      {AreaBudgetUm2, "co-design area budget (um^2)"},
+      {Tech.AreaRegWordUm2, "tech AreaRegWordUm2"},
+      {Tech.AreaSramWordUm2, "tech AreaSramWordUm2"},
+      {Tech.AreaMacUm2, "tech AreaMacUm2"}};
+  const bool CoDesign = Options.Mode == DesignMode::CoDesign;
+  for (std::size_t I = 0; I < (CoDesign ? std::size(Positive) : 2); ++I)
+    if (const auto &[Value, What] = Positive[I];
+        !(Value > 0.0) || !std::isfinite(Value))
+      return Status::invalidArgument(std::string(What) +
+                                     " must be positive and finite, got " +
+                                     std::to_string(Value));
+  if (!CoDesign && Classic &&
+      (Classic->RegWordsPerPE <= 0 || Classic->SramWords <= 0 ||
+       Classic->NumPEs <= 0))
+    return Status::invalidArgument(
+        "fixed architecture needs positive capacities (RegWordsPerPE=" +
+        std::to_string(Classic->RegWordsPerPE) +
+        ", SramWords=" + std::to_string(Classic->SramWords) +
+        ", NumPEs=" + std::to_string(Classic->NumPEs) + ")");
+  return Status::ok();
+}
+
+std::vector<ThistleResult>
+thistle::runPairSweep(const std::vector<PairSweepContext> &Layers,
+                      const PairSweepGrid &Grid) {
+  std::vector<GridLayer> Shares;
+  Shares.reserve(Layers.size());
+  std::size_t Next = Grid.FirstTask;
+  for (const PairSweepContext &Ctx : Layers) {
+    GridLayer Share{Ctx, Ctx.Classic ? Grid.Cache : nullptr, {}, Next};
+    if (Share.Cache)
+      Share.Keys = gpCacheKeyMaterial(Ctx.Prob, Ctx.Options, *Ctx.Classic,
+                                      Ctx.Tech, Ctx.AreaBudgetUm2,
+                                      Ctx.Plan.TiledIters);
+    Shares.push_back(std::move(Share));
+    Next += Ctx.Plan.Pairs.size();
+  }
+
+  using GridAccumulator = std::vector<SweepAccumulator>;
+  GridAccumulator Total = parallelReduce(
+      Grid.Pool, Next - Grid.FirstTask, GridAccumulator(Layers.size()),
+      [&](GridAccumulator &Acc, std::size_t I) {
+        // The shard partition is a pure function of the task number, so
+        // every shard of every grid agrees on ownership without
+        // coordination.
+        const std::size_t Task = Grid.FirstTask + I;
+        if (Task % Grid.ShardCount != Grid.ShardIndex)
+          return;
+        // The task belongs to the last layer that starts at or before it.
+        const auto Owner =
+            std::upper_bound(Shares.begin(), Shares.end(), Task,
+                             [](std::size_t T, const GridLayer &L) {
+                               return T < L.FirstTask;
+                             }) -
+            1;
+        runPairTask(*Owner, Grid.DeadlineAt, Task - Owner->FirstTask,
+                    Acc[Owner - Shares.begin()]);
+      },
+      [](GridAccumulator &A, GridAccumulator &&B) {
+        for (std::size_t L = 0; L < A.size(); ++L)
+          mergePairAccumulators(A[L], std::move(B[L]));
+      });
+
+  std::vector<ThistleResult> Results(Layers.size());
+  for (std::size_t L = 0; L < Layers.size(); ++L)
+    finishLayerResult(Layers[L].Plan, std::move(Total[L]), Results[L]);
+  return Results;
 }

@@ -6,21 +6,20 @@
 ///
 /// \file
 /// The perm-class sweep of the paper's Fig. 2 loop, on a hierarchy of
-/// any depth, factored out of optimizeLayer so the network driver
-/// (thistle/Network.cpp) can fan the tasks of many layers into one
-/// global grid: the fixed sweep plan (one permutation class per permuted
-/// level, symmetry pruning, the cap), the per-task solve chain (cache
-/// lookup on classic3, or build -> retry-ladder solve -> halo fallback
-/// -> extract -> round on the context's machine), the deterministic
-/// shard accumulator, and the result assembly. On classic3 a task is a
-/// (PE class, DRAM class) pair, hence the names.
+/// any depth: the fixed sweep plan (one permutation class per permuted
+/// level, symmetry pruning, the cap) and the one task grid every sweep
+/// runs on. optimizeLayer runs a grid of one layer; the network driver
+/// (thistle/Network.cpp) runs each phase's (architecture, shape) layers
+/// as one grid. A task is one solve chain: cache lookup on classic3, or
+/// build -> retry-ladder solve -> halo fallback -> extract -> round on
+/// its layer's machine. On classic3 a task is a (PE class, DRAM class)
+/// pair, hence the names.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef THISTLE_THISTLE_PAIRSWEEP_H
 #define THISTLE_THISTLE_PAIRSWEEP_H
 
-#include "thistle/GpCache.h"
 #include "thistle/Optimizer.h"
 #include "thistle/PermutationSpace.h"
 
@@ -50,21 +49,17 @@ struct LayerSweepPlan {
   unsigned PairsTotal = 0;
   unsigned PairsSkippedBySymmetry = 0;
   unsigned RawPermsPerLevel = 0;
-  /// Tasks dropped by the cap, pre-recorded as policy skips with task
-  /// indices following the planned tasks; merged into the sweep report
-  /// after the fan-out so outcome counts sum to PairsTotal -
-  /// PairsSkippedBySymmetry at any cap.
-  SweepReport CappedReport;
+  /// Tuples dropped by the cap. They take the task indices after the
+  /// planned tasks, and the sweep report records them as one policy
+  /// skip, so outcome counts sum to PairsTotal - PairsSkippedBySymmetry
+  /// at any cap.
+  unsigned Capped = 0;
 };
 
-/// The most class tuples (classes^(L-1)) a plan enumerates: every
-/// tuple is checked for symmetry, and every capped one becomes a report
-/// incident. optimizeLayer refuses a deeper machine up front.
+/// The most class tuples (classes^(L-1)) a plan enumerates: every tuple
+/// is checked for symmetry. optimizeLayer refuses a deeper machine up
+/// front.
 inline constexpr std::uint64_t MaxSweepTuples = 1u << 18;
-
-/// Tiled iterators of \p Prob: extent > 1 and not in the untiled list.
-std::vector<unsigned> tiledIterators(const Problem &Prob,
-                                     const ThistleOptions &Options);
 
 /// Enumerates, prunes and caps the tasks for \p Prob on a machine with
 /// \p PermutedLevels permuted levels (L-1; classic3 has two). Tuples are
@@ -78,24 +73,16 @@ LayerSweepPlan planLayerSweep(const Problem &Prob,
                               const ThistleOptions &Options,
                               unsigned PermutedLevels = 2);
 
-/// Per-shard sweep state: the best design seen by one worker plus its
-/// stat deltas. Shards never share state on the hot path; accumulators
-/// are merged in shard order once the sweep drains.
-struct SweepAccumulator {
-  bool Found = false;
-  double Obj = 0.0;
-  std::size_t Task = 0; ///< The winner's index in the plan.
-  RoundedDesign Design; ///< The winner on classic3.
-  RoundedHierarchyDesign Multi; ///< The winner on any other machine.
-  double ModelObjective = 0.0;
-  unsigned NewtonIterations = 0;
-  unsigned GpInfeasible = 0;
-  std::size_t CandidatesEvaluated = 0;
-  std::uint64_t CacheHits = 0, CacheMisses = 0;
-  SweepReport Report;
-};
+/// Checks what a sweep's caller controls before any GP is built: the
+/// technology constants, the co-design area budget and, in dataflow
+/// mode, the capacities of a classic architecture (\p Classic; null on
+/// any other machine, which validates itself).
+Status checkSweepInputs(const ThistleOptions &Options,
+                        const ArchConfig *Classic, const TechParams &Tech,
+                        double AreaBudgetUm2);
 
-/// Everything one task reads; const-shared across workers.
+/// One layer of a task grid: everything its tasks read, const-shared
+/// across workers.
 struct PairSweepContext {
   const Problem &Prob;
   const LayerSweepPlan &Plan;
@@ -108,40 +95,38 @@ struct PairSweepContext {
   const ArchConfig *Classic;
   const TechParams &Tech;
   double AreaBudgetUm2 = 0.0;
-  /// Optional shared solution cache (see thistle/GpCache.h), classic3
-  /// only: its keys name the ArchConfig, not the machine.
-  GpSolutionCache *Cache = nullptr;
-  /// The sweep's cache key material (gpCacheKeyMaterial over the fields
-  /// above); formatted once, where the context is built, when Cache is
-  /// set.
-  GpCacheKeyMaterial CacheKeys{};
-  bool HasDeadline = false;
-  std::chrono::steady_clock::time_point DeadlineAt{};
-  /// Added to the task index for telemetry span indexing, so several
-  /// layer sweeps sharing one epoch (the network driver) keep globally
-  /// ordered span indices.
-  std::size_t SpanIndexBase = 0;
 };
 
-/// Runs one planned task end to end, folding its outcome into \p Acc.
-/// Never throws: failures become report incidents.
-void runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
-                 SweepAccumulator &Acc);
+/// What every layer of a task grid shares.
+struct PairSweepGrid {
+  ThreadPool &Pool;
+  /// Optional shared solution cache (thistle/GpCache.h), read and
+  /// written by classic3 layers only: its keys name the ArchConfig, not
+  /// the machine.
+  GpSolutionCache *Cache = nullptr;
+  /// No task starts at or after this instant; {} means no deadline.
+  std::chrono::steady_clock::time_point DeadlineAt{};
+  /// The run-wide index of the grid's first task. Tasks are numbered
+  /// layer by layer from it; a task's number indexes its thistle.pair
+  /// span and decides its shard.
+  std::size_t FirstTask = 0;
+  /// Deterministic 1-of-N partition: only tasks whose number is
+  /// congruent to ShardIndex mod ShardCount run.
+  std::size_t ShardIndex = 0, ShardCount = 1;
+};
 
-/// Joins the next shard (ascending task order) into \p A.
-void mergePairAccumulators(SweepAccumulator &A, SweepAccumulator &&B);
+/// Runs the planned tasks of every layer of \p Layers as one task grid
+/// and returns one result per layer, in order. The winner of a layer is
+/// its least (objective, task index), and per-layer state merges in
+/// shard order, so results are bit-identical at every worker count.
+/// Never throws: a failed task becomes a report incident.
+std::vector<ThistleResult> runPairSweep(
+    const std::vector<PairSweepContext> &Layers, const PairSweepGrid &Grid);
 
-/// Resolves the two deadline options into one absolute instant; false
-/// when no deadline is configured.
-bool resolveSweepDeadline(std::chrono::milliseconds Relative,
-                          std::chrono::steady_clock::time_point Absolute,
-                          std::chrono::steady_clock::time_point &Out);
-
-/// Assembles a ThistleResult from a drained sweep: stats (PairsSolved
-/// derived from the report outcomes), the merged report including the
-/// plan's capped-task skips, and the winning design.
-void finishLayerResult(const LayerSweepPlan &Plan, SweepAccumulator &&Total,
-                       ThistleResult &Result);
+/// The absolute deadline \p Options asks for: DeadlineAt when set, else
+/// now + Deadline when that is positive, else {} (none).
+std::chrono::steady_clock::time_point
+sweepDeadline(const ThistleOptions &Options);
 
 } // namespace thistle
 

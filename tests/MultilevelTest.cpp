@@ -203,9 +203,9 @@ TEST(Hierarchy, ParseRoundTripsAndRejectsGarbage) {
                            "level Scratchpad 2048 0.8 4\n"
                            "level SRAM 65536 6.0 16\n"
                            "level DRAM - 128.0 4\n";
-  Hierarchy H;
-  std::string Error;
-  ASSERT_TRUE(parseHierarchy(Text, H, Error)) << Error;
+  Expected<Hierarchy> Parsed = parseHierarchy(Text);
+  ASSERT_TRUE(Parsed) << Parsed.status().toString();
+  const Hierarchy &H = Parsed.value();
   EXPECT_TRUE(H.validate().empty());
   EXPECT_EQ(H.NumPEs, 128);
   EXPECT_EQ(H.FanoutLevel, 2u);
@@ -216,10 +216,10 @@ TEST(Hierarchy, ParseRoundTripsAndRejectsGarbage) {
   EXPECT_DOUBLE_EQ(H.MacEnergyPj, 2.2);
   EXPECT_DOUBLE_EQ(H.Levels[0].Bandwidth, 1e9);
 
-  Hierarchy Bad;
-  EXPECT_FALSE(parseHierarchy("pes 16\nwibble 3\n", Bad, Error));
-  EXPECT_FALSE(parseHierarchy("pes 16\nlevel OnlyName\n", Bad, Error));
-  EXPECT_FALSE(Error.empty());
+  EXPECT_FALSE(parseHierarchy("pes 16\nwibble 3\n"));
+  Expected<Hierarchy> Bad = parseHierarchy("pes 16\nlevel OnlyName\n");
+  EXPECT_FALSE(Bad);
+  EXPECT_FALSE(Bad.status().message().empty());
 }
 
 TEST(MultiMapper, FindsLegalMappingOnFourLevelMachine) {

@@ -134,7 +134,7 @@ TEST(Network, CacheOnOffAndAcrossRunsBitIdentical) {
 
   GpSolutionCache Cache;
   NetworkOptions Cached = fastNetworkOptions();
-  Cached.Cache = &Cache;
+  Cached.Run.Cache = &Cache;
   NetworkResult First = optimizeNetwork(
       toyNetwork(), eyerissArch(), TechParams::cgo45nm(), Cached);
   ASSERT_TRUE(First.Found);
@@ -181,7 +181,7 @@ TEST(Network, ThreadCountDoesNotChangeResults) {
   // And with a shared cache at 8 threads: a hit replays what the cold
   // solve computed, whatever order the parallel tasks fill it in.
   GpSolutionCache Cache;
-  Eight.Cache = &Cache;
+  Eight.Run.Cache = &Cache;
   NetworkResult RC = optimizeNetwork(toyNetwork(), eyerissArch(),
                                      TechParams::cgo45nm(), Eight);
   ASSERT_TRUE(RC.Found);
@@ -271,7 +271,7 @@ namespace {
 
 NetworkResult runToy(GpSolutionCache *Cache) {
   NetworkOptions NO = fastNetworkOptions();
-  NO.Cache = Cache;
+  NO.Run.Cache = Cache;
   return optimizeNetwork(toyNetwork(), eyerissArch(), TechParams::cgo45nm(),
                          NO);
 }
@@ -378,7 +378,7 @@ TEST(NetworkPersist, SnapshotBytesDependOnlyOnContents) {
     GpSolutionCache Cache;
     NetworkOptions NO = fastNetworkOptions();
     NO.Layer.Threads = Threads;
-    NO.Cache = &Cache;
+    NO.Run.Cache = &Cache;
     EXPECT_TRUE(
         optimizeNetwork(toyNetwork(), eyerissArch(), TechParams::cgo45nm(), NO)
             .Found);
@@ -503,7 +503,7 @@ TEST(Network, GeneralConvClassesAreCacheAndThreadInvariant) {
   NetworkOptions Eight = fastNetworkOptions();
   Eight.Layer.Threads = 8;
   GpSolutionCache Cache;
-  Eight.Cache = &Cache;
+  Eight.Run.Cache = &Cache;
   NetworkResult Cold = optimizeNetwork(generalToyNetwork(), eyerissArch(),
                                        TechParams::cgo45nm(), Eight);
   ASSERT_TRUE(Cold.Found);
@@ -513,6 +513,91 @@ TEST(Network, GeneralConvClassesAreCacheAndThreadInvariant) {
   ASSERT_TRUE(Warm.Found);
   expectIdentical(R1, Warm);
   EXPECT_EQ(Warm.Stats.CacheMisses, 0u);
+}
+
+namespace {
+
+/// Everything one layer's sweep must reproduce bit for bit: the design,
+/// the stats and the report with its incidents.
+void expectSameLayer(const ThistleResult &A, const ThistleResult &B) {
+  ASSERT_EQ(A.Found, B.Found);
+  EXPECT_EQ(A.Eval.EnergyPj, B.Eval.EnergyPj);
+  EXPECT_EQ(A.Eval.Cycles, B.Eval.Cycles);
+  EXPECT_EQ(A.ModelObjective, B.ModelObjective);
+  EXPECT_EQ(A.Map.Factors, B.Map.Factors);
+  EXPECT_EQ(A.Map.PePerm, B.Map.PePerm);
+  EXPECT_EQ(A.Map.DramPerm, B.Map.DramPerm);
+  EXPECT_EQ(A.BestPePerm, B.BestPePerm);
+  EXPECT_EQ(A.BestDramPerm, B.BestDramPerm);
+
+  const ThistleStats &SA = A.Stats, &SB = B.Stats;
+  EXPECT_EQ(SA.PermClassesPerLevel, SB.PermClassesPerLevel);
+  EXPECT_EQ(SA.RawPermsPerLevel, SB.RawPermsPerLevel);
+  EXPECT_EQ(SA.PairsTotal, SB.PairsTotal);
+  EXPECT_EQ(SA.PairsSkippedBySymmetry, SB.PairsSkippedBySymmetry);
+  EXPECT_EQ(SA.PairsPlanned, SB.PairsPlanned);
+  EXPECT_EQ(SA.PairsSolved, SB.PairsSolved);
+  EXPECT_EQ(SA.GpInfeasible, SB.GpInfeasible);
+  EXPECT_EQ(SA.NewtonIterations, SB.NewtonIterations);
+  EXPECT_EQ(SA.CandidatesEvaluated, SB.CandidatesEvaluated);
+  EXPECT_EQ(SA.CacheHits, SB.CacheHits);
+  EXPECT_EQ(SA.CacheMisses, SB.CacheMisses);
+
+  const SweepReport &RA = A.Report, &RB = B.Report;
+  EXPECT_EQ(RA.toString("pair"), RB.toString("pair"));
+  EXPECT_EQ(RA.SkippedByPolicy, RB.SkippedByPolicy);
+  ASSERT_EQ(RA.Incidents.size(), RB.Incidents.size());
+  for (std::size_t I = 0; I < RA.Incidents.size(); ++I) {
+    const SweepIncident &IA = RA.Incidents[I], &IB = RB.Incidents[I];
+    EXPECT_EQ(IA.Index, IB.Index);
+    EXPECT_EQ(IA.A, IB.A);
+    EXPECT_EQ(IA.B, IB.B);
+    EXPECT_EQ(IA.Outcome, IB.Outcome);
+    EXPECT_EQ(IA.Attempts, IB.Attempts);
+    EXPECT_EQ(IA.Detail, IB.Detail);
+  }
+}
+
+} // namespace
+
+TEST(Network, DataflowShapesMatchOptimizeLayer) {
+  // A network phase runs its shapes as one task grid, the grid
+  // optimizeLayer runs one layer on, so in dataflow mode each unique
+  // shape's result equals optimizeLayer on that shape alone.
+  const TechParams Tech = TechParams::cgo45nm();
+  for (const std::vector<ConvLayer> &Net :
+       {toyNetwork(), generalToyNetwork()})
+    for (unsigned Threads : {1u, 4u})
+      for (bool Shared : {false, true}) {
+        SCOPED_TRACE(Net.front().Name + " network, " +
+                     std::to_string(Threads) + " threads, " +
+                     (Shared ? "shared cache" : "no cache"));
+        NetworkOptions NO = fastNetworkOptions();
+        NO.Layer.Threads = Threads;
+        GpSolutionCache NetworkCache, LayerCache;
+        LayerRunContext Run;
+        if (Shared) {
+          NO.Run.Cache = &NetworkCache;
+          Run.Cache = &LayerCache;
+        }
+        const NetworkResult R = optimizeNetwork(Net, eyerissArch(), Tech, NO);
+        ASSERT_TRUE(R.Found);
+        ASSERT_EQ(R.Layers.size(), Net.size());
+        std::size_t Compared = 0;
+        for (std::size_t I = 0; I < Net.size(); ++I) {
+          if (R.Layers[I].Deduplicated)
+            continue;
+          SCOPED_TRACE("layer " + Net[I].Name);
+          expectSameLayer(optimizeLayer(makeConvProblem(Net[I]),
+                                        eyerissArch(), Tech, NO.Layer, Run),
+                          R.Layers[I].Result);
+          ++Compared;
+        }
+        EXPECT_EQ(Compared, R.Stats.UniqueShapes);
+        // The cap drops tuples of every shape, so the one policy-skip
+        // incident per shape is compared above.
+        EXPECT_GT(R.Report.SkippedByPolicy, 0u);
+      }
 }
 
 TEST(Network, ShapeKeySeparatesGroupedFromDenseTwins) {

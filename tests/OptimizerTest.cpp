@@ -2,6 +2,7 @@
 
 #include "ir/Builders.h"
 #include "nestmodel/Evaluator.h"
+#include "thistle/Network.h"
 #include "thistle/Optimizer.h"
 #include "workloads/Workloads.h"
 
@@ -210,6 +211,54 @@ TEST(Optimizer, RejectsNonPositiveAreaBudget) {
   EXPECT_FALSE(R.Found);
   ASSERT_FALSE(R.InputStatus.isOk());
   EXPECT_EQ(R.InputStatus.code(), StatusCode::InvalidArgument);
+}
+
+TEST(Optimizer, RejectsInputsWithTheirTexts) {
+  // The whole diagnostic of every input check, on both overloads: what
+  // the caller controls is checked once, before any GP is built.
+  const Problem P = makeConvProblem(smallConv());
+  const TechParams Tech = TechParams::cgo45nm();
+  ThistleOptions Dataflow = fastOptions(), CoDesign = fastOptions();
+  CoDesign.Mode = DesignMode::CoDesign;
+  ArchConfig NoPEs = eyerissArch();
+  NoPEs.NumPEs = 0;
+  TechParams NoSigma = Tech, NoMacArea = Tech;
+  NoSigma.SigmaRegPj = 0.0;
+  NoMacArea.AreaMacUm2 = -1.0;
+  const Hierarchy Machine = Hierarchy::classic3Level(eyerissArch(), Tech);
+  const std::string Prefix = "invalid-argument: validating optimizer inputs: ";
+  struct Case {
+    ThistleResult R;
+    std::string Want;
+  } Cases[] = {
+      {optimizeLayer(P, NoPEs, Tech, Dataflow),
+       "fixed architecture needs positive capacities (RegWordsPerPE=512, "
+       "SramWords=65536, NumPEs=0)"},
+      {optimizeLayer(P, eyerissArch(), Tech, CoDesign, 0.0),
+       "co-design area budget (um^2) must be positive and finite, got "
+       "0.000000"},
+      {optimizeLayer(P, eyerissArch(), NoSigma, Dataflow),
+       "tech SigmaRegPj must be positive and finite, got 0.000000"},
+      {optimizeLayer(P, eyerissArch(), NoMacArea, CoDesign, 1e6),
+       "tech AreaMacUm2 must be positive and finite, got -1.000000"},
+      {optimizeLayer(P, Machine, Tech, CoDesign, {}, 0.0),
+       "co-design area budget (um^2) must be positive and finite, got "
+       "0.000000"},
+  };
+  for (const Case &C : Cases) {
+    EXPECT_EQ(C.R.InputStatus.toString(), Prefix + C.Want);
+    EXPECT_FALSE(C.R.Found);
+    EXPECT_EQ(C.R.Report.total(), 0u);
+  }
+  // The network driver runs the same check once and names its first
+  // layer.
+  NetworkOptions NO;
+  NO.Layer = Dataflow;
+  const NetworkResult N = optimizeNetwork({smallConv()}, NoPEs, Tech, NO);
+  EXPECT_EQ(N.InputStatus.toString(),
+            "invalid-argument: validating network layer 'test-conv': " +
+                Cases[0].Want);
+  EXPECT_EQ(N.Report.total(), 0u);
 }
 
 TEST(Optimizer, ExpiredDeadlineSkipsAllPairs) {

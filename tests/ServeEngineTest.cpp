@@ -251,22 +251,30 @@ TEST(ServeEngine, AnswerDoesNotDependOnEarlierQueries) {
 }
 
 TEST(ServeEngine, ExpiredDeadlineDegradesInsteadOfCrashing) {
+  if (!fault::enabled())
+    GTEST_SKIP() << "needs the fault-injection hooks";
+  struct FaultGuard {
+    ~FaultGuard() { fault::disarmAll(); }
+  } Guard;
   ServeEngine Engine{ServeOptions{}};
   ASSERT_TRUE(Engine.start().isOk());
-  // A 1ms budget expires before (or just after) the sweep starts: the
-  // response must come back degraded or no-design, never crash — and
-  // never poison the cache for an unlimited rerun of the same layer.
+  // The deadline cannot expire, but the thistle.deadline site expires it
+  // for pair task 0: the response must come back degraded with exit 1,
+  // never crash — and never poison the cache for an unlimited rerun of
+  // the same layer.
+  fault::arm("thistle.deadline", /*Key=*/0);
   std::string Resp = Engine.handleLine(
       "{\"schema\":\"thistle-serve/1\",\"id\":7,\"query\":{\"workload\":"
-      "{\"layer\":[16,8,14,14,3,3]},\"deadline_ms\":1}}");
-  bool Degraded =
-      Resp.find("\"status\":\"degraded\"") != std::string::npos ||
-      Resp.find("\"status\":\"no-design\"") != std::string::npos ||
-      Resp.find("\"status\":\"ok\"") != std::string::npos;
-  EXPECT_TRUE(Degraded) << Resp;
+      "{\"layer\":[16,8,14,14,3,3]},\"deadline_ms\":600000}}");
+  EXPECT_NE(Resp.find("\"status\":\"degraded\",\"exit_code\":1"),
+            std::string::npos)
+      << Resp;
+  EXPECT_NE(Resp.find("\"deadline_expired\":true"), std::string::npos)
+      << Resp;
 
   // The unlimited query is a different dedup/cache story: it must
-  // still produce the full clean answer.
+  // still produce the full clean answer. Without a deadline the armed
+  // site is never consulted.
   std::string Full = Engine.handleLine(LayerQuery);
   EXPECT_NE(Full.find("\"status\":\"ok\""), std::string::npos) << Full;
   EXPECT_NE(Full.find("\"deadline_expired\":false"), std::string::npos);
@@ -389,18 +397,26 @@ TEST(ServeEngine, GeneralConvValidationUsesTheErrorEnvelope) {
 }
 
 TEST(ServeEngine, NewNetworkNamesAreAdmitted) {
+  if (!fault::enabled())
+    GTEST_SKIP() << "needs the fault-injection hooks";
+  struct FaultGuard {
+    ~FaultGuard() { fault::disarmAll(); }
+  } Guard;
   ServeEngine Engine{ServeOptions{}};
   ASSERT_TRUE(Engine.start().isOk());
-  // A 1ms deadline keeps these from running the full sweeps; the point
-  // is that the names parse (degraded/no-design/ok — never invalid).
+  // The thistle.deadline site expires the deadline for every task, so
+  // these skip the full sweeps; the point is that the names parse and
+  // run (no-design, never invalid).
+  fault::arm("thistle.deadline");
   for (const char *Net : {"mobilenetv2", "dcgan"}) {
     std::string Resp = Engine.handleLine(
         std::string("{\"schema\":\"thistle-serve/1\",\"query\":{\"workload\":"
                     "{\"network\":\"") +
-        Net + "\"},\"deadline_ms\":1}}");
-    EXPECT_EQ(Resp.find("\"status\":\"invalid\""), std::string::npos)
+        Net + "\"},\"deadline_ms\":600000}}");
+    EXPECT_NE(Resp.find("\"status\":\"no-design\""), std::string::npos)
         << Net << " -> " << Resp;
   }
+  fault::disarmAll();
   std::string Bad = Engine.handleLine(
       "{\"schema\":\"thistle-serve/1\",\"query\":{\"workload\":"
       "{\"network\":\"vgg\"}}}");

@@ -7,7 +7,10 @@
 #   cmake -DSERVE=<thistle-serve> -DQUERY=<thistle-query>
 #         -DOPT=<thistle-opt> -DWORK_DIR=<dir>
 #         [-DCHECKER=<check_run_report.py> -DPYTHON=<python3>]
-#         -P CheckServe.cmake
+#         [-DFAULTS=ON] -P CheckServe.cmake
+# FAULTS says the fault-injection hooks are compiled in; every daemon
+# then runs with THISTLE_FAULT=thistle.deadline:0, which only a query
+# with a deadline consults.
 
 set(DIR ${WORK_DIR}/serve-cache)
 set(PORTFILE ${WORK_DIR}/serve-port.txt)
@@ -41,7 +44,7 @@ endfunction()
 # the equivalent standalone thistle-opt invocations they must match.
 set(Q_LAYER "{\"schema\":\"thistle-serve/1\",\"id\":1,\"query\":{\"workload\":{\"layer\":[16,8,14,14,3,3]}}}")
 set(Q_NET "{\"schema\":\"thistle-serve/1\",\"id\":2,\"query\":{\"workload\":{\"network\":\"resnet18\"}}}")
-set(Q_DEADLINE "{\"schema\":\"thistle-serve/1\",\"id\":3,\"query\":{\"workload\":{\"layer\":[16,8,14,14,3,3]},\"deadline_ms\":1}}")
+set(Q_DEADLINE "{\"schema\":\"thistle-serve/1\",\"id\":3,\"query\":{\"workload\":{\"layer\":[16,8,14,14,3,3]},\"deadline_ms\":600000}}")
 
 function(wait_for_file PATH WHAT)
   foreach(I RANGE 100)
@@ -68,10 +71,14 @@ function(wait_for_exit WHAT)
   die("timed out waiting for ${WHAT} to exit (pid ${PID})")
 endfunction()
 
+if(FAULTS)
+  set(DAEMON_FAULT thistle.deadline:0)
+endif()
 function(start_daemon REPORT LOG)
   file(REMOVE ${PORTFILE} ${PIDFILE})
   execute_process(
-    COMMAND sh -c "'${SERVE}' --cache-dir '${DIR}' --threads 2 \
+    COMMAND sh -c "THISTLE_FAULT='${DAEMON_FAULT}' '${SERVE}' \
+--cache-dir '${DIR}' --threads 2 \
 --port-file '${PORTFILE}' --trace-json '${REPORT}' \
 > '${LOG}' 2>&1 & echo $! > '${PIDFILE}'"
     RESULT_VARIABLE CODE)
@@ -171,16 +178,32 @@ endif()
 # Network-level query, an expired deadline (must degrade, not crash),
 # and the error paths: garbage input and a bad schema tag answer with
 # structured invalid-input envelopes while the daemon keeps serving.
+# The deadline cannot expire by itself: the armed thistle.deadline site
+# expires it for pair task 0 (without the hooks the answer is ok), and
+# the unlimited rerun of the same layer must still succeed.
 run_query(${WORK_DIR}/serve-r4.jsonl --request ${Q_NET})
 first_line(NET ${WORK_DIR}/serve-r4.jsonl)
 if(NOT NET MATCHES "\"status\":\"ok\"")
   die("network query did not succeed\n${NET}")
 endif()
 
-run_query(${WORK_DIR}/serve-r5.jsonl --request ${Q_DEADLINE})
-first_line(DL ${WORK_DIR}/serve-r5.jsonl)
-if(NOT DL MATCHES "\"status\":\"(ok|degraded|no-design)\"")
-  die("deadline query neither succeeded nor degraded\n${DL}")
+run_query(${WORK_DIR}/serve-r5.jsonl --request ${Q_DEADLINE}
+  --request ${Q_LAYER})
+file(STRINGS ${WORK_DIR}/serve-r5.jsonl DL_LINES)
+list(GET DL_LINES 0 DL)
+list(GET DL_LINES 1 UNLIMITED)
+if(FAULTS)
+  set(WANT "\"status\":\"degraded\",\"exit_code\":1")
+  set(EXPIRED true)
+else()
+  set(WANT "\"status\":\"ok\",\"exit_code\":0")
+  set(EXPIRED false)
+endif()
+if(NOT DL MATCHES "${WANT}" OR NOT DL MATCHES "\"deadline_expired\":${EXPIRED}")
+  die("deadline query: wanted ${WANT}, deadline_expired ${EXPIRED}\n${DL}")
+endif()
+if(NOT UNLIMITED MATCHES "\"status\":\"ok\"")
+  die("unlimited query after the deadline query did not succeed\n${UNLIMITED}")
 endif()
 
 run_query(${WORK_DIR}/serve-r6.jsonl

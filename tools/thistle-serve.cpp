@@ -16,6 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/FaultInjection.h"
 #include "support/LineSocket.h"
 #include "support/RunReport.h"
 #include "support/Telemetry.h"
@@ -157,6 +158,12 @@ void serveConnection(ServeEngine &Engine, ConnectionRegistry &Registry,
 } // namespace
 
 int main(int Argc, char **Argv) {
+  // THISTLE_FAULT=site[:key[:maxhits]] arms the deterministic fault
+  // hooks (testing only; a no-op unless compiled in and set).
+  if (std::string FaultErr = fault::armFromEnv(); !FaultErr.empty()) {
+    std::fprintf(stderr, "error: THISTLE_FAULT: %s\n", FaultErr.c_str());
+    return 2;
+  }
   std::uint16_t Port = 0;
   std::string PortFile;
   std::string TraceJsonPath;
