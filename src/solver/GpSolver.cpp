@@ -199,6 +199,19 @@ public:
     return T * objectiveValue(W, S) + Phi;
   }
 
+  /// Bound on the half squared Newton decrement below which a centering
+  /// step ends at barrier value \p Psi. Phase II stops where doubles stop
+  /// resolving the line search: near t = 1e9, Psi is of order 1e10, so
+  /// the Armijo test of a 1e-10 decrease compares rounding noise. Phase
+  /// I keeps the plain 1e-10, as its centered exit backs the
+  /// infeasibility certificate.
+  double decrementTolerance(double Psi) const {
+    if (PhaseOne)
+      return 1e-10;
+    return std::max(1e-10, 16.0 * std::numeric_limits<double>::epsilon() *
+                               std::fabs(Psi));
+  }
+
   /// Gradient and Hessian of the barrier objective at strictly feasible W.
   /// \p Grad / \p Hess are overwritten; the remaining scratch buffers of
   /// \p S (E, Gz, Hz, Gw, Zs) are clobbered.
@@ -269,6 +282,23 @@ enum class CenterExit {
   Breakdown, ///< Non-finite derivatives or no factorable Hessian.
 };
 
+/// The telemetry counter of each exit; every centering step counts once.
+const char *centerExitCounter(CenterExit Exit) {
+  switch (Exit) {
+  case CenterExit::Centered:
+    return "solver.center.centered";
+  case CenterExit::EarlyExit:
+    return "solver.center.early_exit";
+  case CenterExit::Stalled:
+    return "solver.center.stalled";
+  case CenterExit::IterCap:
+    return "solver.center.iter_cap";
+  case CenterExit::Breakdown:
+    return "solver.center.breakdown";
+  }
+  return "solver.center.unknown";
+}
+
 /// Damped-Newton minimization of the barrier objective at fixed T.
 /// Returns which exit it took. \p EarlyExit, when non-null, stops as
 /// soon as it returns true (used by phase one once s < 0).
@@ -337,17 +367,18 @@ CenterExit centerNewton(const CenteringProblem &Prob, double T, Vector &W,
     if (!Solved)
       return CenterExit::Breakdown;
 
-    // Newton decrement as a stopping test.
+    // Newton decrement as a stopping test, scaled by the barrier value
+    // the line search starts from.
     double Decrement = -kernels::dot(S.Grad.data(), S.Step.data(), N);
     if (!std::isfinite(Decrement))
       return CenterExit::Breakdown;
     if (Decrement < 0.0)
       Decrement = 0.0;
-    if (Decrement * 0.5 < 1e-10)
+    const double Base = Prob.barrierValue(T, W, S);
+    if (Decrement * 0.5 < Prob.decrementTolerance(Base))
       return CenterExit::Centered;
 
     // Backtracking line search with domain (feasibility) check.
-    double Base = Prob.barrierValue(T, W, S);
     double Alpha = 1.0;
     bool Accepted = false;
     S.Trial.resize(N);
@@ -447,11 +478,14 @@ GpSolution solveGpImpl(const GpProblem &Problem,
 
     auto FoundInterior = [](const Vector &W) { return W.back() < -1e-7; };
     const double M = static_cast<double>(Ctx.Constraints.size());
-    double T = Options.TInitial;
+    // The slack starts 1 above the largest constraint, so t = m makes the
+    // first gap m/t match it (Boyd & Vandenberghe 11.3.1).
+    double T = M * Options.TInitial;
     for (unsigned Outer = 0; Outer < Options.MaxOuterIters; ++Outer) {
       CenterExit Exit = centerNewton(PhaseOne, T, W, Options.MaxNewtonIters,
                                      Solution.NewtonIterations,
                                      +FoundInterior, Scratch);
+      telemetry::count(centerExitCounter(Exit));
       if (Exit == CenterExit::Breakdown) {
         Solution.Failure = "numerical breakdown in phase I";
         Solution.Outcome = SolveOutcome::NumericalBreakdown;
@@ -498,9 +532,10 @@ GpSolution solveGpImpl(const GpProblem &Problem,
       std::max<std::size_t>(Ctx.Constraints.size(), 1);
   for (unsigned Outer = 0; Outer < Options.MaxOuterIters; ++Outer) {
     ++OuterIters;
-    if (centerNewton(PhaseTwo, T, ZVec, Options.MaxNewtonIters,
-                     Solution.NewtonIterations, nullptr,
-                     Scratch) == CenterExit::Breakdown) {
+    CenterExit Exit = centerNewton(PhaseTwo, T, ZVec, Options.MaxNewtonIters,
+                                   Solution.NewtonIterations, nullptr, Scratch);
+    telemetry::count(centerExitCounter(Exit));
+    if (Exit == CenterExit::Breakdown) {
       Solution.Failure = "numerical breakdown in phase II";
       Solution.Outcome = SolveOutcome::NumericalBreakdown;
       Solution.Values = recoverX(ZVec);

@@ -42,8 +42,10 @@ void appendIndices(std::string &Out, const std::vector<unsigned> &V) {
 /// stored a structural key and the GP optimum, and may record outcomes
 /// of the removed warm-start rescue, which a cold solve need not
 /// reproduce; "gpcache2" entries count every rounding candidate in
-/// CandidatesTried, where a cold solve now counts only the priced ones.
-constexpr const char *CacheKind = "gpcache3";
+/// CandidatesTried, where a cold solve now counts only the priced ones;
+/// "gpcache3" entries hold the Newton counts and certificate texts of
+/// the solver's earlier stopping rule and phase-I start.
+constexpr const char *CacheKind = "gpcache4";
 
 void putPerm(Encoder &E, const std::vector<unsigned> &Perm) {
   E.putU64(Perm.size());

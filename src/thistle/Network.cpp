@@ -103,8 +103,7 @@ NetworkResult thistle::optimizeNetwork(const std::vector<ConvLayer> &Layers,
   // incidents.
   if (Status St = checkSweepInputs(Options.Layer, &Arch, Tech, AreaBudgetUm2);
       !St.isOk()) {
-    Result.InputStatus = std::move(St.withContext(
-        "validating network layer '" + Shapes.front().Layer.Name + "'"));
+    Result.InputStatus = std::move(St.withContext("validating network inputs"));
     return Result;
   }
 

@@ -203,7 +203,7 @@ TEST(Network, EmptyNetworkSaysNothingAttempted) {
             std::string::npos);
 }
 
-TEST(Network, BadInputsFailValidationWithLayerContext) {
+TEST(Network, BadInputsFailValidationWithInputsContext) {
   ArchConfig Bad = eyerissArch();
   Bad.NumPEs = 0;
   NetworkResult R = optimizeNetwork(toyNetwork(), Bad,
@@ -212,9 +212,11 @@ TEST(Network, BadInputsFailValidationWithLayerContext) {
   EXPECT_FALSE(R.Found);
   ASSERT_FALSE(R.InputStatus.isOk());
   EXPECT_EQ(R.InputStatus.code(), StatusCode::InvalidArgument);
-  // Validation runs per unique shape and names the offending layer.
-  EXPECT_NE(R.InputStatus.toString().find("network layer 'a'"),
-            std::string::npos);
+  // The check reads the architecture, not a layer, so it blames none.
+  EXPECT_EQ(R.InputStatus.toString().rfind(
+                "invalid-argument: validating network inputs: ", 0),
+            0u);
+  EXPECT_EQ(R.InputStatus.toString().find("layer"), std::string::npos);
   // Nothing ran: the report is empty rather than full of failures.
   EXPECT_EQ(R.Report.total(), 0u);
 }

@@ -250,14 +250,13 @@ TEST(Optimizer, RejectsInputsWithTheirTexts) {
     EXPECT_FALSE(C.R.Found);
     EXPECT_EQ(C.R.Report.total(), 0u);
   }
-  // The network driver runs the same check once and names its first
-  // layer.
+  // The network driver runs the same check once; it reads no layer, so
+  // its context names none.
   NetworkOptions NO;
   NO.Layer = Dataflow;
   const NetworkResult N = optimizeNetwork({smallConv()}, NoPEs, Tech, NO);
   EXPECT_EQ(N.InputStatus.toString(),
-            "invalid-argument: validating network layer 'test-conv': " +
-                Cases[0].Want);
+            "invalid-argument: validating network inputs: " + Cases[0].Want);
   EXPECT_EQ(N.Report.total(), 0u);
 }
 

@@ -186,6 +186,42 @@ TEST(GpSolver, ReportsNewtonWork) {
   EXPECT_GT(S.NewtonIterations, 0u);
 }
 
+// ---- Centering on generated network programs -------------------------------
+
+#include "support/Telemetry.h"
+#include "thistle/Network.h"
+#include "workloads/Workloads.h"
+
+TEST(GpSolver, NoCenteringRunsOutOfNewtonSteps) {
+  // Every centering of a network sweep ends on its own test. A fixed
+  // 1e-10 decrement bound lies below the rounding of the barrier value
+  // at the last weights, where centerings used to run all their steps.
+  if (!telemetry::compiledIn())
+    GTEST_SKIP() << "telemetry compiled out";
+  telemetry::setLevel(telemetry::Level::Metrics);
+  telemetry::reset();
+  const NetworkResult R = optimizeNetwork(
+      dcganNetworkLayers(), eyerissArch(), TechParams::cgo45nm(), {});
+  const telemetry::Snapshot Snap = telemetry::snapshot();
+  telemetry::setLevel(telemetry::Level::Off);
+  ASSERT_TRUE(R.Found);
+
+  auto counter = [&](const char *Name) {
+    for (const telemetry::CounterValue &C : Snap.Counters)
+      if (C.Name == Name)
+        return C.Value;
+    return std::uint64_t{0};
+  };
+  EXPECT_GT(counter("solver.center.centered"), 0u);
+  EXPECT_EQ(counter("solver.center.iter_cap"), 0u);
+  const telemetry::StatValue *PerSolve = nullptr;
+  for (const telemetry::StatValue &S : Snap.Stats)
+    if (S.Name == "solver.newton_per_solve")
+      PerSolve = &S;
+  ASSERT_NE(PerSolve, nullptr);
+  EXPECT_LT(PerSolve->Max, GpSolverOptions().MaxNewtonIters);
+}
+
 // ---- Outcome classification and the retry ladder --------------------------
 
 #include "support/FaultInjection.h"
