@@ -33,7 +33,9 @@ struct GpSolverOptions {
   /// Barrier gap tolerance: iterate until NumConstraints / t < Tolerance
   /// (absolute tolerance on the log-space objective).
   double Tolerance = 1e-7;
-  double TInitial = 1.0;    ///< Initial barrier weight.
+  /// First barrier weight per inequality: phases I and II both start
+  /// at t = m * TInitial, m the number of inequalities.
+  double TInitial = 1.0;
   double TMultiplier = 20.0; ///< Barrier weight growth per outer step.
   unsigned MaxNewtonIters = 250; ///< Per centering step.
   unsigned MaxOuterIters = 50;

@@ -44,8 +44,10 @@ void appendIndices(std::string &Out, const std::vector<unsigned> &V) {
 /// reproduce; "gpcache2" entries count every rounding candidate in
 /// CandidatesTried, where a cold solve now counts only the priced ones;
 /// "gpcache3" entries hold the Newton counts and certificate texts of
-/// the solver's earlier stopping rule and phase-I start.
-constexpr const char *CacheKind = "gpcache4";
+/// the solver's earlier stopping rule and phase-I start; "gpcache4"
+/// entries hold the Newton counts of phase II's earlier schedule, which
+/// centered tightly at every weight from t = TInitial.
+constexpr const char *CacheKind = "gpcache5";
 
 void putPerm(Encoder &E, const std::vector<unsigned> &Perm) {
   E.putU64(Perm.size());

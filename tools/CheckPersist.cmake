@@ -80,7 +80,7 @@ if(CHECK STREQUAL "handmade")
   set(DIR ${WORK_DIR}/persist-truncated)
   file(REMOVE_RECURSE ${DIR})
   file(WRITE ${DIR}/gpcache.snap
-    "thistle-snapshot/1 snap gpcache4 100 0b45a69c\nshort")
+    "thistle-snapshot/1 snap gpcache5 100 0b45a69c\nshort")
   check_damaged("truncated snapshot" ${DIR} ".*truncated payload")
 
   # 3. A size-consistent snapshot whose payload fails the CRC (silent
@@ -88,7 +88,7 @@ if(CHECK STREQUAL "handmade")
   set(DIR ${WORK_DIR}/persist-badcrc)
   file(REMOVE_RECURSE ${DIR})
   file(WRITE ${DIR}/gpcache.snap
-    "thistle-snapshot/1 snap gpcache4 4 00000000\nABCD")
+    "thistle-snapshot/1 snap gpcache5 4 00000000\nABCD")
   check_damaged("CRC mismatch" ${DIR} ".*CRC mismatch")
 
   # 4. A journal with a valid header and a torn record: the (empty)
@@ -96,25 +96,26 @@ if(CHECK STREQUAL "handmade")
   set(DIR ${WORK_DIR}/persist-tornjournal)
   file(REMOVE_RECURSE ${DIR})
   file(WRITE ${DIR}/gpcache.journal
-    "thistle-snapshot/1 journal gpcache4\nrec 50 0123abcd\nshort")
+    "thistle-snapshot/1 journal gpcache5\nrec 50 0123abcd\nshort")
   check_damaged("torn journal" ${DIR} ".*dropping the damaged tail")
 
   # 5. Snapshots of the earlier kinds: "gpcache", whose entries could
   #    hold outcomes of the removed warm-start rescue, "gpcache2",
   #    whose entries count every rounding candidate where a cold solve
-  #    now counts only the priced ones, and "gpcache3", whose entries
-  #    hold Newton counts and certificate texts of the earlier solver
-  #    stopping rule. Each is refused at the header (the payload here
-  #    passes its CRC, so the kind is the only fault), re-solved cold,
-  #    and replaced by the clean-exit snapshot, so the next run replays
-  #    everything.
-  foreach(KIND gpcache gpcache2 gpcache3)
+  #    now counts only the priced ones, "gpcache3", whose entries hold
+  #    Newton counts and certificate texts of the earlier solver
+  #    stopping rule, and "gpcache4", whose entries hold Newton counts
+  #    of the earlier phase-II schedule. Each is refused at the header
+  #    (the payload here passes its CRC, so the kind is the only fault),
+  #    re-solved cold, and replaced by the clean-exit snapshot, so the
+  #    next run replays everything.
+  foreach(KIND gpcache gpcache2 gpcache3 gpcache4)
     set(DIR ${WORK_DIR}/persist-oldkind-${KIND})
     file(REMOVE_RECURSE ${DIR})
     file(WRITE ${DIR}/gpcache.snap
       "thistle-snapshot/1 snap ${KIND} 4 db1720a5\nABCD")
     check_damaged("earlier cache kind ${KIND}" ${DIR}
-      ".*holds '${KIND}' state, wanted 'gpcache4'")
+      ".*holds '${KIND}' state, wanted 'gpcache5'")
     execute_process(
       COMMAND ${TOOL} ${NETWORK} --cache-dir ${DIR}
       OUTPUT_VARIABLE OUT
@@ -299,7 +300,7 @@ elseif(CHECK STREQUAL "faults")
         "thistle-snapshot/1 journal gpcache2\nrec 4 db1720a5\nABCD\n")
     else()
       file(WRITE ${DIR}/gpcache.journal
-        "thistle-snapshot/1 journal gpcache4\nrec 50 0123abcd\nshort")
+        "thistle-snapshot/1 journal gpcache5\nrec 50 0123abcd\nshort")
     endif()
     execute_process(
       COMMAND ${CMAKE_COMMAND} -E env THISTLE_FAULT=persist.write-fail:0
