@@ -4,8 +4,11 @@
 // the perm-class pair sweep (pairs/s) and the mapper search (trials/s) —
 // at 1 thread vs. N threads on a Table-2 workload, and writes the numbers
 // to BENCH_parallel.json so the perf trajectory is tracked across PRs.
-// Both engines are bit-deterministic under the thread count, so the
-// speedup is pure wall clock: the measured runs are checked to agree.
+// The 1-thread and N-thread runs alternate, so a slow phase of the host
+// slows both sides. Both engines are bit-deterministic under the thread
+// count, so the speedup is pure wall clock: the measured runs are checked
+// to agree, and the bench exits 1 without writing the JSON when they
+// differ.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 using namespace thistle;
@@ -25,10 +29,22 @@ struct Measurement {
   double Seconds1 = 0.0;
   double SecondsN = 0.0;
   double Units = 0.0; ///< Pairs solved / trials run (same at both counts).
+  bool Agree = true;  ///< Both thread counts returned the same answer.
 };
 
-/// Min-of-N repetitions per timing (see bench::minSecondsOfN).
+/// Timed repetitions per thread count; each side keeps its minimum.
 constexpr unsigned Reps = 3;
+
+/// Times \p One (1 thread) and \p Many (N threads) alternately, Reps
+/// times each (1t, Nt, 1t, Nt, ...), keeping the minimum of each side.
+template <typename OneFn, typename ManyFn>
+void timeAlternating(Measurement &M, OneFn &&One, ManyFn &&Many) {
+  M.Seconds1 = M.SecondsN = std::numeric_limits<double>::infinity();
+  for (unsigned R = 0; R < Reps; ++R) {
+    M.Seconds1 = std::min(M.Seconds1, minSecondsOfN(1, One));
+    M.SecondsN = std::min(M.SecondsN, minSecondsOfN(1, Many));
+  }
+}
 
 Measurement measureSweep(const Problem &P, unsigned Threads) {
   TechParams Tech = TechParams::cgo45nm();
@@ -38,19 +54,17 @@ Measurement measureSweep(const Problem &P, unsigned Threads) {
 
   Measurement M;
   ThistleResult Seq, Par;
-  Opts.Threads = 1;
-  M.Seconds1 =
-      minSecondsOfN(Reps, [&] { Seq = optimizeLayer(P, Arch, Tech, Opts); });
-
-  Opts.Threads = Threads;
-  M.SecondsN =
-      minSecondsOfN(Reps, [&] { Par = optimizeLayer(P, Arch, Tech, Opts); });
+  auto Run = [&](unsigned T, ThistleResult &Out) {
+    Opts.Threads = T;
+    Out = optimizeLayer(P, Arch, Tech, Opts);
+  };
+  timeAlternating(
+      M, [&] { Run(1, Seq); }, [&] { Run(Threads, Par); });
 
   // Planned pairs, not solved: throughput counts GP attempts fanned out,
   // regardless of per-pair outcome.
   M.Units = Seq.Stats.PairsPlanned;
-  if (Seq.Eval.EnergyPj != Par.Eval.EnergyPj)
-    std::printf("WARNING: sweep result differs across thread counts!\n");
+  M.Agree = Seq.Eval.EnergyPj == Par.Eval.EnergyPj;
   return M;
 }
 
@@ -64,18 +78,16 @@ Measurement measureMapper(const Problem &P, unsigned Threads) {
 
   Measurement M;
   MapperResult Seq, Par;
-  Opts.Threads = 1;
-  M.Seconds1 =
-      minSecondsOfN(Reps, [&] { Seq = searchMappings(P, Arch, Energy, Opts); });
-
-  Opts.Threads = Threads;
-  M.SecondsN =
-      minSecondsOfN(Reps, [&] { Par = searchMappings(P, Arch, Energy, Opts); });
+  auto Run = [&](unsigned T, MapperResult &Out) {
+    Opts.Threads = T;
+    Out = searchMappings(P, Arch, Energy, Opts);
+  };
+  timeAlternating(
+      M, [&] { Run(1, Seq); }, [&] { Run(Threads, Par); });
 
   M.Units = Seq.Trials;
-  if (Seq.Trials != Par.Trials ||
-      Seq.BestEval.EnergyPj != Par.BestEval.EnergyPj)
-    std::printf("WARNING: mapper result differs across thread counts!\n");
+  M.Agree = Seq.Trials == Par.Trials &&
+            Seq.BestEval.EnergyPj == Par.BestEval.EnergyPj;
   return M;
 }
 
@@ -103,7 +115,7 @@ void writeJson(const char *Path, const std::string &Workload,
       "  \"threads_requested\": %u,\n"
       "  \"threads\": %u,\n"
       "  \"oversubscribed\": %s,\n"
-      "  \"timing\": \"min_of_%u\",\n"
+      "  \"timing\": \"alternating_min_of_%u\",\n"
       "  \"sweep\": {\n"
       "    \"pairs\": %.0f,\n"
       "    \"seconds_1t\": %.4f,\n"
@@ -159,6 +171,15 @@ int main() {
   Measurement Mapper = measureMapper(P, Threads);
   printRow("sweep", Sweep, Threads);
   printRow("mapper", Mapper, Threads);
+  if (!Sweep.Agree || !Mapper.Agree) {
+    if (!Sweep.Agree)
+      std::fprintf(stderr, "error: sweep result differs across thread "
+                           "counts\n");
+    if (!Mapper.Agree)
+      std::fprintf(stderr, "error: mapper result differs across thread "
+                           "counts\n");
+    return 1;
+  }
 
   writeJson("BENCH_parallel.json", L.Name, ThreadsRequested, Threads, Sweep,
             Mapper);

@@ -147,78 +147,3 @@ bool kernels::choleskySolveInPlace(double *A, std::size_t N,
   choleskySubstitute(A, N, B, X, Scratch);
   return true;
 }
-
-namespace {
-
-/// Lane-batched dot over lane-interleaved rows: per lane, exactly the
-/// blocked association order of kernels::dot (four partials over blocks
-/// of four, combined (l0+l1)+(l2+l3), sequential tail).
-Pack4 batchDot(const double *A4, const double *B4, std::size_t N) {
-  Pack4 Acc0 = simd::zero(), Acc1 = simd::zero();
-  Pack4 Acc2 = simd::zero(), Acc3 = simd::zero();
-  std::size_t K = 0;
-  for (; K + 4 <= N; K += 4) {
-    Acc0 = simd::add(Acc0, simd::mul(simd::load(A4 + (K + 0) * 4),
-                                     simd::load(B4 + (K + 0) * 4)));
-    Acc1 = simd::add(Acc1, simd::mul(simd::load(A4 + (K + 1) * 4),
-                                     simd::load(B4 + (K + 1) * 4)));
-    Acc2 = simd::add(Acc2, simd::mul(simd::load(A4 + (K + 2) * 4),
-                                     simd::load(B4 + (K + 2) * 4)));
-    Acc3 = simd::add(Acc3, simd::mul(simd::load(A4 + (K + 3) * 4),
-                                     simd::load(B4 + (K + 3) * 4)));
-  }
-  Pack4 S = simd::add(simd::add(Acc0, Acc1), simd::add(Acc2, Acc3));
-  for (; K < N; ++K)
-    S = simd::add(S, simd::mul(simd::load(A4 + K * 4),
-                               simd::load(B4 + K * 4)));
-  return S;
-}
-
-} // namespace
-
-kernels::CholeskyBatch4Ok
-kernels::choleskySolveBatch4(double *A4, const double *B4, double *X4,
-                             std::size_t N, double *Scratch4) {
-  CholeskyBatch4Ok R{{true, true, true, true}};
-
-  // Factorization: per lane the same sequence as choleskyFactor. Lanes
-  // that hit a bad pivot are flagged and keep running on garbage (NaN
-  // stays confined to its lane); their X4 lanes are ignored by callers.
-  for (std::size_t J = 0; J < N; ++J) {
-    double *RowJ = A4 + J * N * 4;
-    Pack4 Diag = simd::sub(simd::load(RowJ + J * 4), batchDot(RowJ, RowJ, J));
-    double DiagLanes[4];
-    simd::store(DiagLanes, Diag);
-    for (int S = 0; S < 4; ++S)
-      if (!(DiagLanes[S] > 0.0) || !std::isfinite(DiagLanes[S]))
-        R.Ok[S] = false;
-    Pack4 L = simd::sqrt(Diag);
-    simd::store(RowJ + J * 4, L);
-    for (std::size_t I = J + 1; I < N; ++I) {
-      double *RowI = A4 + I * N * 4;
-      Pack4 V = simd::sub(simd::load(RowI + J * 4), batchDot(RowI, RowJ, J));
-      simd::store(RowI + J * 4, simd::div(V, L));
-    }
-  }
-
-  // Forward substitution L * Y = B; Y lives in X4.
-  for (std::size_t I = 0; I < N; ++I) {
-    Pack4 V = simd::sub(simd::load(B4 + I * 4),
-                        batchDot(A4 + I * N * 4, X4, I));
-    simd::store(X4 + I * 4, simd::div(V, simd::load(A4 + (I * N + I) * 4)));
-  }
-  // Transposed factor, then back substitution L^T * X = Y.
-  for (std::size_t I = 0; I < N; ++I)
-    for (std::size_t J = I; J < N; ++J)
-      simd::store(Scratch4 + (I * N + J) * 4,
-                  simd::load(A4 + (J * N + I) * 4));
-  for (std::size_t II = N; II > 0; --II) {
-    std::size_t I = II - 1;
-    Pack4 V = simd::sub(simd::load(X4 + I * 4),
-                        batchDot(Scratch4 + (I * N + I + 1) * 4,
-                                 X4 + (I + 1) * 4, N - I - 1));
-    simd::store(X4 + I * 4,
-                simd::div(V, simd::load(Scratch4 + (I * N + I) * 4)));
-  }
-  return R;
-}

@@ -8,10 +8,8 @@
 /// The portable SIMD kernel layer for the barrier-Newton inner loops:
 /// blocked dot/sum/axpy, the fused exp-and-accumulate used by log-sum-exp
 /// value/gradient/Hessian assembly, weighted-Gram Hessian accumulation,
-/// and a blocked dense Cholesky factor/solve plus a lane-batched variant
-/// that factors four same-size SPD systems at once (one SIMD lane per
-/// system — the regularization-ladder rungs of a Newton step share one
-/// kernel invocation).
+/// and a blocked dense Cholesky factor/solve (one call per rung of a
+/// Newton step's regularization ladder).
 ///
 /// Determinism rule (docs/PERF.md): every kernel uses a *fixed* blocking
 /// and association order — reductions accumulate four partial sums over
@@ -21,9 +19,7 @@
 /// perform exactly one mul and one add per element, never an FMA. The
 /// result of every kernel is therefore bit-identical across
 /// `THISTLE_SIMD=off/scalar/native`, which keeps full solver trajectories
-/// (Newton counts, incidents, winners) invariant under the backend. The
-/// lane-batched Cholesky performs, per lane, the same operation sequence
-/// as the single-system kernel, so batching is bit-invisible too.
+/// (Newton counts, incidents, winners) invariant under the backend.
 ///
 /// These functions are the only code compiled with native vector flags;
 /// callers (solver/GpSolver.cpp, linalg/Matrix.cpp) stay instruction-set
@@ -90,23 +86,6 @@ void choleskySubstitute(const double *L, std::size_t N, const double *B,
 /// \p Scratch must hold at least N*N doubles.
 bool choleskySolveInPlace(double *A, std::size_t N, const double *B,
                           double *X, double *Scratch);
-
-/// Lane-batched Cholesky: factors and solves four same-size SPD systems
-/// at once, one SIMD lane per system. All arrays are lane-interleaved
-/// SoA: entry (i, j) of system s lives at [(i*N + j)*4 + s]. \p A4 is
-/// overwritten; \p Scratch4 must hold at least N*N*4 doubles. Ok[s] is
-/// true iff system s factored (every pivot positive and finite); the
-/// X4 lanes of failed systems are garbage and must be ignored.
-///
-/// Each lane performs exactly the operation sequence of choleskyFactor /
-/// choleskySubstitute, so a lane's solution is bit-identical to solving
-/// that system alone.
-struct CholeskyBatch4Ok {
-  bool Ok[4];
-};
-CholeskyBatch4Ok choleskySolveBatch4(double *A4, const double *B4,
-                                     double *X4, std::size_t N,
-                                     double *Scratch4);
 
 } // namespace kernels
 } // namespace thistle

@@ -5,9 +5,9 @@
 // run on the SIMD kernel layer (linalg/Kernels.h): LSE exponent rows are
 // stored as one contiguous matrix, per-iteration buffers live in a
 // SolverScratch that is reused across the whole solve, and the Newton
-// regularization ladder factors four lambda rungs per lane-batched
-// Cholesky call. Results are bit-identical across every THISTLE_SIMD
-// setting (see docs/PERF.md).
+// regularization ladder factors one lambda rung at a time until one
+// succeeds. Results are bit-identical across every THISTLE_SIMD setting
+// (see docs/PERF.md).
 //
 //===----------------------------------------------------------------------===//
 
@@ -40,20 +40,20 @@ bool allFinite(const Vector &V) {
 
 /// Per-solve scratch: every buffer the barrier-Newton loops need, sized
 /// once and reused so the hot path performs no per-iteration heap
-/// allocation. A4/B4/X4/S4 are the lane-interleaved SoA buffers of the
-/// batched Cholesky (kernels::choleskySolveBatch4).
+/// allocation.
 struct SolverScratch {
-  Vector E;              ///< LSE exponent buffer.
-  Vector Gz;             ///< Objective/constraint gradient.
-  Matrix Hz;             ///< Objective/constraint Hessian.
-  Vector Gw;             ///< Phase-one gradient with the slack lane.
-  Vector Zs;             ///< Phase-one slice of W (drops the slack).
-  Vector Grad;           ///< Barrier gradient.
-  Matrix Hess;           ///< Barrier Hessian.
-  Vector NegGrad;        ///< Newton right-hand side.
-  Vector Step;           ///< Newton direction.
-  Vector Trial;          ///< Line-search trial point.
-  Vector A4, B4, X4, S4; ///< Batched-Cholesky lane-interleaved buffers.
+  Vector E;          ///< LSE exponent buffer.
+  Vector Gz;         ///< Objective/constraint gradient.
+  Matrix Hz;         ///< Objective/constraint Hessian.
+  Vector Gw;         ///< Phase-one gradient with the slack lane.
+  Vector Zs;         ///< Phase-one slice of W (drops the slack).
+  Vector Grad;       ///< Barrier gradient.
+  Matrix Hess;       ///< Barrier Hessian.
+  Vector NegGrad;    ///< Newton right-hand side.
+  Vector Step;       ///< Newton direction.
+  Vector Trial;      ///< Line-search trial point.
+  Vector Factor;     ///< H + lambda I, then its Cholesky factor.
+  Vector Transposed; ///< The factor's transpose (back substitution).
 };
 
 /// Barrier-method state shared by the two phases.
@@ -75,17 +75,6 @@ class CenteringProblem {
 public:
   CenteringProblem(const BarrierContext &Ctx, bool PhaseOne)
       : Ctx(Ctx), PhaseOne(PhaseOne) {}
-
-  std::size_t dim(std::size_t ReducedDim) const {
-    return PhaseOne ? ReducedDim + 1 : ReducedDim;
-  }
-
-  /// Constraint value G_i(W) (including the -s offset in phase one).
-  double constraintValue(std::size_t I, const Vector &W,
-                         SolverScratch &S) const {
-    double G = Ctx.Constraints[I].value(sliceW(W, S), S.E);
-    return PhaseOne ? G - W.back() : G;
-  }
 
   /// True if every constraint is strictly negative at W.
   bool strictlyFeasible(const Vector &W, SolverScratch &S) const {
@@ -236,18 +225,30 @@ const char *centerExitCounter(CenterExit Exit) {
 /// next weight's centering starts close enough to converge fast.
 constexpr double LooseDecrement = 1e-2;
 
+/// Rungs of the Newton step's regularization ladder.
+constexpr int RegularizationRungs = 12;
+
+/// The diagonal shift of rung R = 4K + J, (1e-10 * 1e8^K) * 100^J,
+/// multiplied in that order: a plain lambda *= 100 chain differs in the
+/// last bit from rung 4 on, and the regularized steps use those rungs.
+double rungLambda(int R) {
+  double Lambda = 1e-10;
+  for (int K = 0; K < R / 4; ++K)
+    Lambda *= 1e8;
+  for (int J = 0; J < R % 4; ++J)
+    Lambda *= 100.0;
+  return Lambda;
+}
+
 /// Damped-Newton minimization of the barrier objective at fixed T.
 /// Returns which exit it took. \p EarlyExit, when non-null, stops as
 /// soon as it returns true (used by phase one once s < 0). A \p Loose
 /// step also ends, as Approximate, once lambda^2/2 < LooseDecrement.
 ///
-/// The regularization ladder (12 rungs lambda = 1e-10 * 100^r) runs four
-/// rungs per lane-batched Cholesky call: the Hessian is broadcast into
-/// the four SIMD lanes with a different diagonal shift each, and the
-/// lowest-lambda lane that factors wins — exactly the rung the
-/// sequential ladder would have picked, at a quarter of the kernel
-/// invocations (and with the typical all-rungs-fail-until-late Hessian
-/// resolved in one or two calls instead of up to twelve).
+/// Each step solves (H + lambda I) p = -g at the first rung of the
+/// regularization ladder (lambda = 1e-10 * 100^r, r < 12) whose matrix
+/// factors, trying the rungs one at a time: rung 0 factors most steps
+/// (docs/PERF.md), and the rest count as solver.newton.regularized.
 CenterExit centerNewton(const CenteringProblem &Prob, double T, Vector &W,
                         unsigned MaxIters, unsigned &IterCounter,
                         bool (*EarlyExit)(const Vector &), bool Loose,
@@ -267,44 +268,24 @@ CenterExit centerNewton(const CenteringProblem &Prob, double T, Vector &W,
     for (std::size_t I = 0; I < N; ++I)
       S.NegGrad[I] = -S.Grad[I];
 
-    // Regularized Newton direction via the batched ladder.
-    S.A4.resize(N * N * 4);
-    S.B4.resize(N * 4);
-    S.X4.resize(N * 4);
-    S.S4.resize(N * N * 4);
+    // Regularized Newton direction: the first rung that factors.
+    S.Factor.resize(N * N);
+    S.Transposed.resize(N * N);
     S.Step.resize(N);
-    bool Solved = false;
-    double BatchLambda = 1e-10;
-    for (int Batch = 0; Batch < 3 && !Solved; ++Batch) {
-      const double *H = S.Hess.data();
-      for (std::size_t I = 0; I < N * N; ++I) {
-        double V = H[I];
-        double *Slot = &S.A4[I * 4];
-        Slot[0] = Slot[1] = Slot[2] = Slot[3] = V;
-      }
-      for (std::size_t I = 0; I < N; ++I) {
-        double *Diag = &S.A4[(I * N + I) * 4];
-        double Lambda = BatchLambda;
-        for (int R = 0; R < 4; ++R) {
-          Diag[R] += Lambda;
-          Lambda *= 100.0;
-        }
-        double *Rhs = &S.B4[I * 4];
-        Rhs[0] = Rhs[1] = Rhs[2] = Rhs[3] = S.NegGrad[I];
-      }
-      kernels::CholeskyBatch4Ok Ok = kernels::choleskySolveBatch4(
-          S.A4.data(), S.B4.data(), S.X4.data(), N, S.S4.data());
-      for (int R = 0; R < 4 && !Solved; ++R) {
-        if (!Ok.Ok[R])
-          continue;
-        for (std::size_t I = 0; I < N; ++I)
-          S.Step[I] = S.X4[I * 4 + R];
-        Solved = true;
-      }
-      BatchLambda *= 1e8; // 100^4: the next four rungs.
+    int Rung = 0;
+    for (; Rung < RegularizationRungs; ++Rung) {
+      std::copy(S.Hess.data(), S.Hess.data() + N * N, S.Factor.begin());
+      const double Lambda = rungLambda(Rung);
+      for (std::size_t I = 0; I < N; ++I)
+        S.Factor[I * N + I] += Lambda;
+      if (kernels::choleskySolveInPlace(S.Factor.data(), N, S.NegGrad.data(),
+                                        S.Step.data(), S.Transposed.data()))
+        break;
     }
-    if (!Solved)
+    if (Rung == RegularizationRungs)
       return CenterExit::Breakdown;
+    if (Rung > 0)
+      telemetry::count("solver.newton.regularized");
 
     // Newton decrement as a stopping test, scaled by the barrier value
     // the line search starts from.
@@ -654,10 +635,7 @@ GpSolution thistle::solveGpWithRetry(const GpProblem &Problem,
       telemetry::count("solver.retry.attempts");
     TotalNewton += S.NewtonIterations;
     if (Report)
-      Report->Attempts.push_back({S.Outcome, Rung.StartPerturbation,
-                                  Rung.TInitial, Rung.TMultiplier,
-                                  Rung.ObjectiveScale, S.NewtonIterations,
-                                  S.Failure});
+      Report->Attempts.push_back({S.Outcome, S.NewtonIterations});
 
     // Strictly-better outcomes displace the incumbent; ties keep the
     // earliest attempt so a clean first solve is bit-identical to

@@ -78,12 +78,7 @@ struct GpSolution {
 /// One rung of the retry ladder, for diagnostics.
 struct GpSolveAttempt {
   SolveOutcome Outcome = SolveOutcome::Infeasible;
-  double StartPerturbation = 0.0;
-  double TInitial = 0.0;
-  double TMultiplier = 0.0;
-  double ObjectiveScale = 1.0;
   unsigned NewtonIterations = 0;
-  std::string Failure;
 };
 
 /// What the retry ladder did for one problem.

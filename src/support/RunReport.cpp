@@ -100,7 +100,7 @@ void emitSweep(Writer &W, const RunReport &R) {
   }
   W.beginObject();
   W.key("task_noun");
-  W.value(R.SweepTaskNoun);
+  W.value("pair"); // Every sweep's task is one permutation-class tuple.
   W.key("tasks");
   W.value(R.Sweep.total());
   W.key("solved");

@@ -162,7 +162,6 @@ struct RunReport {
   /// sweep (e.g. usage errors).
   bool HasSweep = false;
   SweepReport Sweep;
-  std::string SweepTaskNoun = "pair";
 
   /// Which cost-model backend scored the run (and its cross-check
   /// statistics under --evaluator both).

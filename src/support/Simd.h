@@ -31,7 +31,6 @@
 #ifndef THISTLE_SUPPORT_SIMD_H
 #define THISTLE_SUPPORT_SIMD_H
 
-#include <cmath>
 #include <cstddef>
 
 // Backend selection: THISTLE_SIMD=off/scalar define
@@ -68,17 +67,11 @@ inline const char *backendName() { return "avx2"; }
 
 inline Pack4 zero() { return {_mm256_setzero_pd()}; }
 inline Pack4 set1(double X) { return {_mm256_set1_pd(X)}; }
-inline Pack4 setLanes(double L0, double L1, double L2, double L3) {
-  // _mm256_set_pd takes arguments high-to-low.
-  return {_mm256_set_pd(L3, L2, L1, L0)};
-}
 inline Pack4 load(const double *P) { return {_mm256_loadu_pd(P)}; }
 inline void store(double *P, Pack4 A) { _mm256_storeu_pd(P, A.V); }
 inline Pack4 add(Pack4 A, Pack4 B) { return {_mm256_add_pd(A.V, B.V)}; }
 inline Pack4 sub(Pack4 A, Pack4 B) { return {_mm256_sub_pd(A.V, B.V)}; }
 inline Pack4 mul(Pack4 A, Pack4 B) { return {_mm256_mul_pd(A.V, B.V)}; }
-inline Pack4 div(Pack4 A, Pack4 B) { return {_mm256_div_pd(A.V, B.V)}; }
-inline Pack4 sqrt(Pack4 A) { return {_mm256_sqrt_pd(A.V)}; }
 
 /// The fixed horizontal-sum tree (l0 + l1) + (l2 + l3).
 inline double hsum(Pack4 A) {
@@ -101,9 +94,6 @@ inline const char *backendName() { return "sse2"; }
 
 inline Pack4 zero() { return {_mm_setzero_pd(), _mm_setzero_pd()}; }
 inline Pack4 set1(double X) { return {_mm_set1_pd(X), _mm_set1_pd(X)}; }
-inline Pack4 setLanes(double L0, double L1, double L2, double L3) {
-  return {_mm_set_pd(L1, L0), _mm_set_pd(L3, L2)};
-}
 inline Pack4 load(const double *P) {
   return {_mm_loadu_pd(P), _mm_loadu_pd(P + 2)};
 }
@@ -120,10 +110,6 @@ inline Pack4 sub(Pack4 A, Pack4 B) {
 inline Pack4 mul(Pack4 A, Pack4 B) {
   return {_mm_mul_pd(A.Lo, B.Lo), _mm_mul_pd(A.Hi, B.Hi)};
 }
-inline Pack4 div(Pack4 A, Pack4 B) {
-  return {_mm_div_pd(A.Lo, B.Lo), _mm_div_pd(A.Hi, B.Hi)};
-}
-inline Pack4 sqrt(Pack4 A) { return {_mm_sqrt_pd(A.Lo), _mm_sqrt_pd(A.Hi)}; }
 
 inline double hsum(Pack4 A) {
   double S01 =
@@ -143,10 +129,6 @@ inline const char *backendName() { return "neon"; }
 
 inline Pack4 zero() { return {vdupq_n_f64(0.0), vdupq_n_f64(0.0)}; }
 inline Pack4 set1(double X) { return {vdupq_n_f64(X), vdupq_n_f64(X)}; }
-inline Pack4 setLanes(double L0, double L1, double L2, double L3) {
-  double Tmp[4] = {L0, L1, L2, L3};
-  return {vld1q_f64(Tmp), vld1q_f64(Tmp + 2)};
-}
 inline Pack4 load(const double *P) {
   return {vld1q_f64(P), vld1q_f64(P + 2)};
 }
@@ -162,12 +144,6 @@ inline Pack4 sub(Pack4 A, Pack4 B) {
 }
 inline Pack4 mul(Pack4 A, Pack4 B) {
   return {vmulq_f64(A.Lo, B.Lo), vmulq_f64(A.Hi, B.Hi)};
-}
-inline Pack4 div(Pack4 A, Pack4 B) {
-  return {vdivq_f64(A.Lo, B.Lo), vdivq_f64(A.Hi, B.Hi)};
-}
-inline Pack4 sqrt(Pack4 A) {
-  return {vsqrtq_f64(A.Lo), vsqrtq_f64(A.Hi)};
 }
 
 inline double hsum(Pack4 A) {
@@ -186,9 +162,6 @@ inline const char *backendName() { return "scalar"; }
 
 inline Pack4 zero() { return {{0.0, 0.0, 0.0, 0.0}}; }
 inline Pack4 set1(double X) { return {{X, X, X, X}}; }
-inline Pack4 setLanes(double L0, double L1, double L2, double L3) {
-  return {{L0, L1, L2, L3}};
-}
 inline Pack4 load(const double *P) { return {{P[0], P[1], P[2], P[3]}}; }
 inline void store(double *P, Pack4 A) {
   P[0] = A.L[0];
@@ -208,28 +181,12 @@ inline Pack4 mul(Pack4 A, Pack4 B) {
   return {{A.L[0] * B.L[0], A.L[1] * B.L[1], A.L[2] * B.L[2],
            A.L[3] * B.L[3]}};
 }
-inline Pack4 div(Pack4 A, Pack4 B) {
-  return {{A.L[0] / B.L[0], A.L[1] / B.L[1], A.L[2] / B.L[2],
-           A.L[3] / B.L[3]}};
-}
-inline Pack4 sqrt(Pack4 A) {
-  return {{std::sqrt(A.L[0]), std::sqrt(A.L[1]), std::sqrt(A.L[2]),
-           std::sqrt(A.L[3])}};
-}
 
 inline double hsum(Pack4 A) {
   return (A.L[0] + A.L[1]) + (A.L[2] + A.L[3]);
 }
 
 #endif
-
-/// Extracts lane \p I (0..3). Not fast; used only on cold paths such as
-/// per-lane success checks in the batched Cholesky.
-inline double lane(Pack4 A, std::size_t I) {
-  double Tmp[PackWidth];
-  store(Tmp, A);
-  return Tmp[I];
-}
 
 } // namespace simd
 } // namespace thistle

@@ -10,9 +10,6 @@
 // one THISTLE_SIMD setting transitively prove agreement with every
 // other setting.
 //
-// The lane-batched Cholesky is additionally checked lane-by-lane against
-// the single-system kernel: batching four systems must be bit-invisible.
-//
 //===----------------------------------------------------------------------===//
 
 #include "linalg/Kernels.h"
@@ -224,69 +221,6 @@ TEST(SimdKernels, CholeskyMatchesCanonicalOrderBitwise) {
 TEST(SimdKernels, CholeskyRejectsNonSpd) {
   std::vector<double> A = {1.0, 2.0, 2.0, 1.0}; // Indefinite.
   EXPECT_FALSE(kernels::choleskyFactor(A.data(), 2));
-}
-
-TEST(SimdKernels, BatchedCholeskyLanesMatchSingleSolveBitwise) {
-  // Four different SPD systems, one per lane; every lane must be
-  // bit-identical to solving that system alone.
-  const std::size_t N = 11;
-  std::vector<std::vector<double>> As, Bs, Xs;
-  for (int S = 0; S < 4; ++S) {
-    As.push_back(spdMatrix(N, 1300 + S));
-    Bs.push_back(randomVec(N, 1400 + S));
-    std::vector<double> A = As.back(), X(N, 0.0), Scratch(N * N, 0.0);
-    ASSERT_TRUE(kernels::choleskySolveInPlace(A.data(), N, Bs.back().data(),
-                                              X.data(), Scratch.data()));
-    Xs.push_back(std::move(X));
-  }
-  std::vector<double> A4(N * N * 4), B4(N * 4), X4(N * 4),
-      Scratch4(N * N * 4);
-  for (std::size_t I = 0; I < N * N; ++I)
-    for (int S = 0; S < 4; ++S)
-      A4[I * 4 + S] = As[S][I];
-  for (std::size_t I = 0; I < N; ++I)
-    for (int S = 0; S < 4; ++S)
-      B4[I * 4 + S] = Bs[S][I];
-  kernels::CholeskyBatch4Ok Ok = kernels::choleskySolveBatch4(
-      A4.data(), B4.data(), X4.data(), N, Scratch4.data());
-  for (int S = 0; S < 4; ++S) {
-    ASSERT_TRUE(Ok.Ok[S]) << "lane " << S;
-    for (std::size_t I = 0; I < N; ++I)
-      EXPECT_EQ(X4[I * 4 + S], Xs[S][I]) << "lane " << S << " row " << I;
-  }
-}
-
-TEST(SimdKernels, BatchedCholeskyConfinesFailedLane) {
-  // Lane 2 gets an indefinite matrix; the other lanes must still solve
-  // bit-identically to their standalone runs.
-  const std::size_t N = 6;
-  std::vector<std::vector<double>> As, Bs;
-  for (int S = 0; S < 4; ++S) {
-    As.push_back(spdMatrix(N, 1500 + S));
-    Bs.push_back(randomVec(N, 1600 + S));
-  }
-  As[2][0] = -5.0; // Non-positive leading pivot: factorization fails.
-  std::vector<double> A4(N * N * 4), B4(N * 4), X4(N * 4),
-      Scratch4(N * N * 4);
-  for (std::size_t I = 0; I < N * N; ++I)
-    for (int S = 0; S < 4; ++S)
-      A4[I * 4 + S] = As[S][I];
-  for (std::size_t I = 0; I < N; ++I)
-    for (int S = 0; S < 4; ++S)
-      B4[I * 4 + S] = Bs[S][I];
-  kernels::CholeskyBatch4Ok Ok = kernels::choleskySolveBatch4(
-      A4.data(), B4.data(), X4.data(), N, Scratch4.data());
-  EXPECT_FALSE(Ok.Ok[2]);
-  for (int S = 0; S < 4; ++S) {
-    if (S == 2)
-      continue;
-    ASSERT_TRUE(Ok.Ok[S]) << "lane " << S;
-    std::vector<double> A = As[S], X(N, 0.0), Scratch(N * N, 0.0);
-    ASSERT_TRUE(kernels::choleskySolveInPlace(A.data(), N, Bs[S].data(),
-                                              X.data(), Scratch.data()));
-    for (std::size_t I = 0; I < N; ++I)
-      EXPECT_EQ(X4[I * 4 + S], X[I]) << "lane " << S << " row " << I;
-  }
 }
 
 TEST(SimdKernels, GpSolveTrajectoryIsReproducible) {

@@ -312,6 +312,13 @@ TEST(GpSolver, NoCenteringRunsOutOfNewtonSteps) {
   // each centering starts: about 44 steps per solve, where centering
   // every weight tightly, each from where the last one ended, took 63.
   EXPECT_LT(PerSolve->mean(), 50.0);
+  // The ladder's higher rungs run, but for few steps: the ladder tries
+  // its rungs one at a time because rung 0 factors nearly every Hessian.
+  const std::uint64_t Regularized =
+      counterOf(Snap, "solver.newton.regularized");
+  EXPECT_GT(Regularized, 0u);
+  EXPECT_LT(static_cast<double>(Regularized),
+            0.02 * static_cast<double>(counterOf(Snap, "solver.newton_iters")));
 }
 
 TEST(GpSolver, CoDesignInfeasibleVerdictsAreCertified) {

@@ -324,7 +324,6 @@ TEST(RunReport, JsonMatchesDocumentedSchema) {
   RR.MacIpc = 99.0;
   RR.EdpPjCycles = 505856.0;
   RR.HasSweep = true;
-  RR.SweepTaskNoun = "pair";
   RR.Sweep.record(TaskOutcome::Solved, 0, 0, 0, 1, "");
   RR.Sweep.record(TaskOutcome::Failed, 1, 0, 1, 3,
                   "solver \"blew\" up\n");

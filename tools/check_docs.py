@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Audits the repository documentation for drift.
 
-Two checks, both cheap enough to run on every ctest invocation:
+Three checks, all cheap enough to run on every ctest invocation:
 
 1. Cross-references: every relative markdown link in README.md,
    DESIGN.md, ROADMAP.md and docs/*.md must point at a file that exists,
@@ -15,6 +15,13 @@ Two checks, both cheap enough to run on every ctest invocation:
    CheckUsage.cmake audits for the --help texts — must be mentioned in
    docs/THISTLE_OPT.md respectively docs/SERVING.md, so a new flag
    cannot land undocumented.
+
+3. Telemetry names: every string literal in the argument of a
+   `telemetry::count`, `telemetry::observe` or `TraceScope` call in
+   src/ must appear in docs/OBSERVABILITY.md, so a new counter, statistic
+   or span cannot land undocumented either. A name assembled at run time
+   is audited by its literal prefix (`solver.outcome.` for
+   `solver.outcome.<name>`).
 
 Usage: check_docs.py [--root REPO_ROOT]
 Exits 0 when clean, 1 with one `error:` line per problem otherwise.
@@ -38,6 +45,14 @@ FLAG_AUDITS = (
     (os.path.join("tools", "thistle-query.cpp"),
      os.path.join("docs", "SERVING.md")),
 )
+
+TELEMETRY_SOURCES = "src"
+TELEMETRY_DOC = os.path.join("docs", "OBSERVABILITY.md")
+# A call that names a counter, a statistic or a span; its argument runs
+# to the matching close parenthesis.
+TELEMETRY_CALL_RE = re.compile(
+    r"\btelemetry::(?:count|observe)\s*\(|\bTraceScope\s+\w+\s*\(")
+STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*$")
@@ -144,6 +159,56 @@ def check_flags(root):
     return errors
 
 
+def call_argument(text, start):
+    """The text from index `start`, just past an open parenthesis, to
+    the matching close parenthesis."""
+    depth = 1
+    for i in range(start, len(text)):
+        if text[i] == "(":
+            depth += 1
+        elif text[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return text[start:i]
+    return text[start:]
+
+
+def telemetry_names(root):
+    """Maps every telemetry name literal in src/ to the first file that
+    uses it."""
+    names = {}
+    for dirpath, dirnames, filenames in os.walk(
+            os.path.join(root, TELEMETRY_SOURCES)):
+        dirnames.sort()
+        for name in sorted(filenames):
+            if not name.endswith((".cpp", ".h")):
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+            for call in TELEMETRY_CALL_RE.finditer(text):
+                argument = call_argument(text, call.end())
+                for literal in STRING_RE.findall(argument):
+                    names.setdefault(literal, os.path.relpath(path, root))
+    return names
+
+
+def check_telemetry(root):
+    doc_path = os.path.join(root, TELEMETRY_DOC)
+    if not os.path.isfile(doc_path):
+        return [f"{TELEMETRY_DOC}: missing (telemetry audit)"]
+    with open(doc_path, encoding="utf-8") as f:
+        doc_text = f.read()
+    errors = []
+    for name, source in sorted(telemetry_names(root).items()):
+        if not re.search(r"(?<![\w.])" + re.escape(name) + r"(?![\w.])",
+                         doc_text):
+            errors.append(
+                f"{TELEMETRY_DOC}: telemetry name '{name}' (from {source}) "
+                f"undocumented")
+    return errors
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -153,7 +218,8 @@ def main():
         help="repository root (default: the script's parent directory)")
     args = parser.parse_args()
 
-    errors = check_links(args.root) + check_flags(args.root)
+    errors = (check_links(args.root) + check_flags(args.root) +
+              check_telemetry(args.root))
     for err in errors:
         print(f"error: {err}")
     if errors:
